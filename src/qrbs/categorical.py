@@ -95,10 +95,6 @@ class Complex:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("complex bits must be 0 or 1")
 
-    @classmethod
-    def from_index(cls, index: int, n: int) -> "Complex":
-        return index_to_complex(index, n)
-
     @property
     def index(self) -> int:
         return complex_index(self.bits)

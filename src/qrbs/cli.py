@@ -27,9 +27,7 @@ from .circuit import export_qasm, gate_counts, import_qasm
 from .compiler import CompileOptions, compile_network, verify_compilation
 from .errors import QrbsError
 from .rules import parse_rules
-from .simulator import StateVector, run
-
-_ENGINES = ("fast", "statevector")
+from .simulator import ENGINES, StateVector, run
 
 
 def _tnm_argument(text: str) -> idc.TnmClass:
@@ -46,7 +44,7 @@ def _bits_argument(text: str) -> str:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=_ENGINES, default="fast")
+    parser.add_argument("--engine", choices=ENGINES, default="fast")
     parser.add_argument(
         "--max-qubits",
         type=int,

@@ -11,15 +11,14 @@ Conventions: qubit ``k`` is bit ``k`` of the basis index (q0 least
 significant); :attr:`RunResult.bitstring` prints classical bits most
 significant first (c-high to c-low), matching the index convention.
 
-:func:`run` on the dense engine applies each maximal run of unitary gates
-between measurements as one permutation: for each block of 2^16 output
-indices it pulls the indices back through the run's gates in reverse
-with numpy integer bit operations, then gathers the amplitudes with
-``np.take``. The state is read and written once per run of gates rather
-than once per gate, and the block of indices stays in cache. This needs
-numpy only. :func:`apply_gate` applies a single gate by swapping the
-amplitude pairs selected by control/target bit masks, as a parallel
-jitted loop when numba is available and a strided numpy view otherwise.
+The dense engine has one kernel, used by both :func:`run` (once per
+maximal run of unitary gates between measurements) and :func:`apply_gate`
+(once per gate). It applies the run of gates as one permutation: for each
+block of 2^16 output indices it pulls the indices back through the gates
+in reverse with numpy integer bit operations, then gathers the amplitudes
+with ``np.take`` into a new array. The state is read and written once per
+run of gates rather than once per gate, and the block of indices stays in
+cache.
 """
 
 from __future__ import annotations
@@ -56,44 +55,6 @@ _BLOCK_BITS = 16
 
 BasisIndex = int
 
-try:
-    import numba
-
-    numba.config.THREADING_LAYER = "workqueue"
-
-    @numba.njit(cache=True, parallel=True)
-    def _swap_pairs_jit(amps, control_mask, target_mask):  # pragma: no cover - jitted
-        for i in numba.prange(amps.shape[0]):
-            if (i & control_mask) == control_mask and (i & target_mask) == 0:
-                j = i | target_mask
-                a = amps[i]
-                amps[i] = amps[j]
-                amps[j] = a
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-def _swap_pairs_numpy(amps: np.ndarray, n: int, control_mask: int, target_mask: int) -> None:
-    """Strided-view fallback for the jitted pair swap; bit-identical result."""
-    view = amps.reshape((2,) * n) if n else amps
-    target = target_mask.bit_length() - 1
-    selector: list = [slice(None)] * n
-    for q in range(n):
-        if control_mask >> q & 1:
-            selector[n - 1 - q] = 1
-    sub = view[tuple(selector)]
-    target_axis = sum(1 for a in range(n - 1 - target) if selector[a] == slice(None))
-    lo_index = [slice(None)] * sub.ndim
-    hi_index = [slice(None)] * sub.ndim
-    lo_index[target_axis] = slice(0, 1)
-    hi_index[target_axis] = slice(1, 2)
-    lo, hi = sub[tuple(lo_index)], sub[tuple(hi_index)]
-    tmp = lo.copy()
-    lo[...] = hi
-    hi[...] = tmp
-
 
 def _gate_masks(gate: Gate) -> tuple[int, int]:
     match gate:
@@ -104,14 +65,6 @@ def _gate_masks(gate: Gate) -> tuple[int, int]:
         case CCNOT(control1, control2, target):
             return (1 << control1) | (1 << control2), 1 << target
     raise SimulationError(f"not a unitary gate: {gate!r}")
-
-
-def _apply_inplace(amps: np.ndarray, n: int, gate: Gate) -> None:
-    control_mask, target_mask = _gate_masks(gate)
-    if _HAVE_NUMBA:
-        _swap_pairs_jit(amps, control_mask, target_mask)
-    else:
-        _swap_pairs_numpy(amps, n, control_mask, target_mask)
 
 
 def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
@@ -196,9 +149,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     control_mask, target_mask = _gate_masks(gate)
     if (control_mask | target_mask).bit_length() > state.num_qubits:
         raise SimulationError(f"gate {gate!r} out of range for {state.num_qubits} qubits")
-    amplitudes = state.amplitudes.copy()
-    _apply_inplace(amplitudes, state.num_qubits, gate)
-    return StateVector(state.num_qubits, amplitudes)
+    return StateVector(state.num_qubits, _apply_segment(state.amplitudes, [gate]))
 
 
 @dataclass(frozen=True)

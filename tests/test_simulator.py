@@ -16,7 +16,6 @@ from qrbs.simulator import (
     RunResult,
     StateVector,
     _apply_segment,
-    _swap_pairs_numpy,
     apply_gate,
     engines_agree,
     init_state,
@@ -269,40 +268,20 @@ class TestFusedSegmentKernel:
         assert np.array_equal(amplitudes, expected)
         assert engines_agree(circuit, rng.randrange(1 << num_qubits))
 
-
-class TestNumpyFallbackKernel:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 7))
-    def test_matches_reference_permutation_on_random_amplitudes(self, seed, num_qubits):
+    @example(seed=30, num_qubits=17)  # CCNOT(9, 0, 16): pairs across two 2^16 blocks
+    def test_apply_gate_matches_permutation_oracle(self, seed, num_qubits):
         rng = random.Random(seed)
         gate = random_circuit(rng, num_qubits, 1, with_measures=False).gates[0]
-        values = np.array(
-            [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1 << num_qubits)]
-        )
-        via_fallback = values.copy()
-        match_masks = {
-            X: lambda g: (0, 1 << g.target),
-            CNOT: lambda g: (1 << g.control, 1 << g.target),
-            CCNOT: lambda g: ((1 << g.control1) | (1 << g.control2), 1 << g.target),
-        }
-        control_mask, target_mask = match_masks[type(gate)](gate)
-        _swap_pairs_numpy(via_fallback, num_qubits, control_mask, target_mask)
-        perm = as_permutation(Circuit(num_qubits).append(gate))
+        values = np.random.default_rng(seed).standard_normal((2, 1 << num_qubits))
+        values = values[0] + 1j * values[1]
+        state = StateVector(num_qubits, values.copy())
         expected = np.empty_like(values)
-        expected[perm] = values  # amplitude at i moves to perm[i]
-        assert np.array_equal(via_fallback, expected)
+        expected[as_permutation(Circuit(num_qubits).append(gate), max_qubits=17)] = values
+        assert np.array_equal(apply_gate(state, gate).amplitudes, expected)
+        assert np.array_equal(state.amplitudes, values)
 
-    def test_single_qubit_flip(self):
-        values = np.array([1 + 0j, 2 + 0j])
-        _swap_pairs_numpy(values, 1, 0, 1)
-        assert list(values) == [2 + 0j, 1 + 0j]
-
-    def test_run_with_fallback_only(self, monkeypatch):
-        import qrbs.simulator as sim
-
-        monkeypatch.setattr(sim, "_HAVE_NUMBA", False)
-        rng = random.Random(3)
-        circuit = random_circuit(rng, 6, 25)
-        fast = run(circuit, 0b101010, "fast")
-        dense = run(circuit, 0b101010, "statevector")
-        assert results_agree(fast, dense)
+    def test_apply_gate_single_qubit_flip(self):
+        state = StateVector(1, np.array([1 + 0j, 2 + 0j]))
+        assert list(apply_gate(state, X(0)).amplitudes) == [2 + 0j, 1 + 0j]
