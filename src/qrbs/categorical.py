@@ -191,7 +191,7 @@ class ConstraintSet:
         rules = []
         for name, expr in self.entries:
             if expr is None:
-                expr = Implies(_any_of(symptoms), _any_of(diagnoses))
+                expr = Implies(Or.of(map(Atom, symptoms)), Or.of(map(Atom, diagnoses)))
             rules.append(ConstraintRule(expr, name))
         return symptoms, diagnoses, tuple(rules)
 
@@ -208,13 +208,6 @@ def _resolve_names(
             f"constraint file declares {len(declared)} {what}, but {count} were requested"
         )
     return declared
-
-
-def _any_of(names: Sequence[str]) -> BoolExpr:
-    expr: BoolExpr = Atom(names[0])
-    for name in names[1:]:
-        expr = Or(expr, Atom(name))
-    return expr
 
 
 def parse_constraints(text: str) -> ConstraintSet:

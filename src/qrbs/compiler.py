@@ -9,13 +9,14 @@ input values survive the run; intermediate ancillae are not uncomputed
 qubits are harmless and uncomputation would only inflate gate count).
 
 With subexpression sharing on (the default), structurally identical
-subexpressions — compared after flattening associative chains — reuse
-one result qubit instead of recomputing.
+subexpressions reuse one result qubit instead of recomputing; chains are
+flat in the AST, so how a chain was parenthesised does not matter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping
 
 from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X
@@ -114,23 +115,13 @@ def compile_expr(expr: BoolExpr, context: CompileContext) -> int:
             context.gates.append(X(target))
             context._memo[key] = target
             return target
-        case And() | Or():
+        case And(operands) | Or(operands):
             kind = "and" if isinstance(expr, And) else "or"
-            operands = _flatten(expr, type(expr))
             qubits = [compile_expr(op, context) for op in operands]
-            result = qubits[0]
-            for qubit in qubits[1:]:
-                result = _emit_pair(kind, result, qubit, context)
-            return result
+            return reduce(lambda qa, qb: _emit_pair(kind, qa, qb, context), qubits)
         case Implies(left, right):
             return compile_expr(Or(Not(left), right), context)
     raise TypeError(f"not a boolean expression: {expr!r}")
-
-
-def _flatten(expr: BoolExpr, cls: type) -> list[BoolExpr]:
-    if isinstance(expr, cls):
-        return _flatten(expr.left, cls) + _flatten(expr.right, cls)
-    return [expr]
 
 
 def _emit_pair(kind: str, qa: int, qb: int, context: CompileContext) -> int:

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .circuit import Circuit, X
 from .compiler import CompiledCircuit, CompileOptions, compile_network
 from .errors import OneHotError, VocabularyError
-from .rules import Atom, BoolExpr, Or, Rule, RuleNetwork
+from .rules import Atom, Or, Rule, RuleNetwork
 from .simulator import RunResult, run
 
 __all__ = [
@@ -288,13 +288,7 @@ def _fact_name(tnm: TnmClass) -> str:
 def build_idc_network() -> RuleNetwork:
     """The staging rule network: one disjunctive rule per stage."""
     inputs = tuple(_fact_name(tnm) for tnm in INPUT_COMPLEXES)
-    rules = []
-    for stage_name in STAGES:
-        qubits = STAGE_RULES[stage_name]
-        antecedent: BoolExpr = Atom(inputs[qubits[0]])
-        for qubit in qubits[1:]:
-            antecedent = Or(antecedent, Atom(inputs[qubit]))
-        rules.append(Rule(antecedent, stage_name))
+    rules = [Rule(Or.of(Atom(inputs[q]) for q in STAGE_RULES[stage]), stage) for stage in STAGES]
     return RuleNetwork(inputs, tuple(rules), STAGES)
 
 

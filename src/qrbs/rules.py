@@ -17,6 +17,13 @@ mention. Without an ``outputs:`` clause the outputs default to every
 consequent that no other rule consumes. ``=>`` (implication) is reserved
 for constraint files (see :mod:`qrbs.categorical`) and rejected here.
 
+A chain of one operator is one flat :class:`And` or :class:`Or` node,
+however it was parenthesised, so chains of any width parse. Nesting is
+bounded by :data:`MAX_DEPTH` (100 levels; each ``!``, ``(`` and ``=>``
+counts one), which keeps parsing and every recursive walk over a parsed
+expression within Python's stack limit; deeper text raises
+:class:`DslSyntaxError`.
+
 Each fact may be concluded by at most one rule; merge alternatives with
 ``|``. This keeps every fact a function of the inputs, which is what the
 circuit compiler relies on.
@@ -25,8 +32,9 @@ circuit compiler relies on.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CycleError, DslSyntaxError, NetworkError
 
@@ -37,6 +45,7 @@ __all__ = [
     "Or",
     "Implies",
     "BoolExpr",
+    "MAX_DEPTH",
     "Rule",
     "RuleNetwork",
     "atom_names",
@@ -65,16 +74,33 @@ class Not:
     operand: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "BoolExpr"
-    right: "BoolExpr"
+@dataclass(frozen=True, init=False)
+class _Chain:
+    """A flat chain of 2+ operands; an operand of the same kind is spliced in."""
+
+    operands: tuple["BoolExpr", ...]
+
+    def __init__(self, *operands: "BoolExpr") -> None:
+        flat = []
+        for op in operands:
+            flat.extend(op.operands if type(op) is type(self) else (op,))
+        if len(flat) < 2:
+            raise TypeError(f"{type(self).__name__} needs at least two operands")
+        object.__setattr__(self, "operands", tuple(flat))
+
+    @classmethod
+    def of(cls, operands: Iterable["BoolExpr"]) -> "BoolExpr":
+        """The chain of ``operands``, or the operand itself if it is alone."""
+        operands = tuple(operands)
+        return operands[0] if len(operands) == 1 else cls(*operands)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "BoolExpr"
-    right: "BoolExpr"
+class And(_Chain):
+    pass
+
+
+class Or(_Chain):
+    pass
 
 
 @dataclass(frozen=True)
@@ -96,25 +122,25 @@ def _check_fact_name(name: str) -> str:
 
 def atom_names(expr: BoolExpr) -> tuple[str, ...]:
     """All atom names in ``expr``, deduplicated, in first-occurrence order."""
-    seen: set[str] = set()
-    out: list[str] = []
+    names: dict[str, None] = {}  # an insertion-ordered set
 
     def walk(node: BoolExpr) -> None:
         match node:
             case Atom(name):
-                if name not in seen:
-                    seen.add(name)
-                    out.append(name)
+                names[name] = None
             case Not(operand):
                 walk(operand)
-            case And(left, right) | Or(left, right) | Implies(left, right):
+            case And(operands) | Or(operands):
+                for operand in operands:
+                    walk(operand)
+            case Implies(left, right):
                 walk(left)
                 walk(right)
             case _:
                 raise TypeError(f"not a boolean expression: {node!r}")
 
     walk(expr)
-    return tuple(out)
+    return tuple(names)
 
 
 def evaluate_expr(expr: BoolExpr, assignment: Mapping[str, int]) -> int:
@@ -130,10 +156,16 @@ def evaluate_expr(expr: BoolExpr, assignment: Mapping[str, int]) -> int:
             return 1 if assignment[name] else 0
         case Not(operand):
             return 1 - evaluate_expr(operand, assignment)
-        case And(left, right):
-            return evaluate_expr(left, assignment) & evaluate_expr(right, assignment)
-        case Or(left, right):
-            return evaluate_expr(left, assignment) | evaluate_expr(right, assignment)
+        case And(operands):
+            value = 1
+            for op in operands:
+                value &= evaluate_expr(op, assignment)
+            return value
+        case Or(operands):
+            value = 0
+            for op in operands:
+                value |= evaluate_expr(op, assignment)
+            return value
         case Implies(left, right):
             return (1 - evaluate_expr(left, assignment)) | evaluate_expr(right, assignment)
         case _:
@@ -261,6 +293,10 @@ def evaluate_network(network: RuleNetwork, inputs: Mapping[str, int]) -> dict[st
 _TOKEN_RE = re.compile(r"->|=>|(?:[A-Za-z0-9_]|-(?!>))+|[!&|(),:]")
 _PUNCTUATION = {"->", "=>", "!", "&", "|", "(", ")", ",", ":"}
 
+# Deepest nesting of '!', '(' and '=>' one expression may have (see the
+# module docstring).
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -299,6 +335,7 @@ class _ExprParser:
         self.pos = 0
         self.lineno = lineno
         self.allow_implies = allow_implies
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -326,6 +363,17 @@ class _ExprParser:
             message += f", got {token.text!r}"
         raise DslSyntaxError(message, self.lineno, column)
 
+    @contextmanager
+    def nested(self, token: _Token) -> Iterator[None]:
+        """Consume ``token`` and count one nesting level for its operand."""
+        self.advance()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise DslSyntaxError(message, self.lineno, token.column)
+        yield
+        self.depth -= 1
+
     def expr(self) -> BoolExpr:
         left = self.or_expr()
         token = self.peek()
@@ -334,35 +382,35 @@ class _ExprParser:
                 raise DslSyntaxError(
                     "'=>' is only allowed in constraint files", self.lineno, token.column
                 )
-            self.advance()
-            return Implies(left, self.expr())  # right-associative
+            with self.nested(token):
+                return Implies(left, self.expr())  # right-associative
         return left
 
     def or_expr(self) -> BoolExpr:
-        node = self.and_expr()
+        operands = [self.and_expr()]
         while (token := self.peek()) is not None and token.kind == "|":
             self.advance()
-            node = Or(node, self.and_expr())
-        return node
+            operands.append(self.and_expr())
+        return Or.of(operands)
 
     def and_expr(self) -> BoolExpr:
-        node = self.factor()
+        operands = [self.factor()]
         while (token := self.peek()) is not None and token.kind == "&":
             self.advance()
-            node = And(node, self.factor())
-        return node
+            operands.append(self.factor())
+        return And.of(operands)
 
     def factor(self) -> BoolExpr:
         token = self.peek()
         if token is None:
             raise DslSyntaxError("expected expression", self.lineno)
         if token.kind == "!":
-            self.advance()
-            return Not(self.factor())
+            with self.nested(token):
+                return Not(self.factor())
         if token.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
+            with self.nested(token):
+                node = self.expr()
+                self.expect(")")
             return node
         if token.kind == "ident":
             self.advance()
@@ -457,9 +505,9 @@ def parse_rules(text: str) -> RuleNetwork:
 # Pretty-printing
 # ---------------------------------------------------------------------------
 
-# Binding strength; used to insert the minimal parentheses that make the
-# printed text reparse to the identical tree.
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
+# Binding strength, used to insert the minimal parentheses that make the
+# printed text reparse to the identical tree, and operator text.
+_OPERATORS = {Implies: (1, " => "), Or: (2, " | "), And: (3, " & "), Not: (4, "!"), Atom: (5, "")}
 
 
 def format_expr(expr: BoolExpr) -> str:
@@ -468,18 +516,16 @@ def format_expr(expr: BoolExpr) -> str:
 
 
 def _format(expr: BoolExpr, min_prec: int) -> str:
-    prec = _PRECEDENCE[type(expr)]
+    prec, symbol = _OPERATORS[type(expr)]
     match expr:
         case Atom(name):
             text = name
         case Not(operand):
-            text = "!" + _format(operand, 4)
-        case And(left, right):
-            text = f"{_format(left, 3)} & {_format(right, 4)}"
-        case Or(left, right):
-            text = f"{_format(left, 2)} | {_format(right, 3)}"
+            text = symbol + _format(operand, 4)
+        case And(operands) | Or(operands):
+            text = symbol.join(_format(op, prec + 1) for op in operands)
         case Implies(left, right):
-            text = f"{_format(left, 2)} => {_format(right, 1)}"
+            text = _format(left, 2) + symbol + _format(right, 1)
     return f"({text})" if prec < min_prec else text
 
 

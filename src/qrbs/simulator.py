@@ -23,6 +23,7 @@ cache.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
@@ -137,9 +138,24 @@ def init_state(
         raise ValueError("num_qubits must be non-negative")
     if not 0 <= basis < 1 << num_qubits:
         raise ValueError(f"basis index {basis} out of range for {num_qubits} qubits")
+    _check_memory(num_qubits)
     amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
     amplitudes[basis] = 1.0
     return StateVector(num_qubits, amplitudes)
+
+
+def _check_memory(num_qubits: int) -> None:
+    """Fail unless two dense states, the gather's peak in :func:`run`, fit in RAM."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # the platform does not report physical memory
+    state_bytes = np.dtype(np.complex128).itemsize << num_qubits
+    if 2 * state_bytes > physical:
+        raise SimulationError(
+            f"{num_qubits} qubits need two dense states of {state_bytes / 2**30:.1f} GiB, "
+            f"but physical memory is {physical / 2**30:.1f} GiB"
+        )
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

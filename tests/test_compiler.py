@@ -64,6 +64,14 @@ class TestCompileExpr:
         compile_expr(right, ctx_right)
         assert ctx_left.gates == ctx_right.gates
 
+    def test_flat_chain_compiles_like_a_left_fold(self):
+        flat = fresh_context({"A": 0, "B": 1, "C": 2})
+        folded = fresh_context({"A": 0, "B": 1, "C": 2})
+        compile_expr(Or(Atom("A"), Atom("B"), Atom("C")), flat)
+        compile_expr(Or(Or(Atom("A"), Atom("B")), Atom("C")), folded)
+        assert flat.gates == folded.gates
+        assert flat.gates[3:] == [CNOT(3, 4), CNOT(2, 4), CCNOT(3, 2, 4)]
+
     def test_atom_resolves_to_existing_qubit(self):
         ctx = fresh_context({"A": 0})
         assert compile_expr(Atom("A"), ctx) == 0

@@ -1,0 +1,110 @@
+"""Extreme input: wide chains, deep nesting and dense widths beyond memory.
+
+Every case must end in a result or a :class:`QrbsError` (exit 1 from the
+CLI), never in a ``RecursionError``, a ``MemoryError`` or a traceback.
+"""
+
+import pytest
+
+from qrbs import simulator
+from qrbs.categorical import parse_constraints
+from qrbs.cli import main
+from qrbs.compiler import compile_network, verify_compilation
+from qrbs.errors import DslSyntaxError
+from qrbs.rules import MAX_DEPTH, evaluate_network, format_network, parse_rules
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def chain(op: str, names) -> str:
+    return f" {op} ".join(names)
+
+
+def nested(kind: str, depth: int) -> str:
+    """``a`` under ``depth`` levels of ``!`` or of parentheses."""
+    return "!" * depth + "a" if kind == "!" else "(" * depth + "a" + ")" * depth
+
+
+@pytest.mark.parametrize("op", ["|", "&"])
+def test_10000_term_chain_round_trips_compiles_and_verifies(op):
+    net = parse_rules(f"rule: {chain(op, ('abc'[i % 3] for i in range(10_000)))} -> Y")
+    assert len(net.rules[0].antecedent.operands) == 10_000
+    assert parse_rules(format_network(net)) == net
+    report = verify_compilation(net, compile_network(net))
+    assert report.ok
+    assert report.assignments_checked == 8
+
+
+def test_1200_term_disjunction_parses():
+    net = parse_rules(f"rule: {chain('|', (f'a{i}' for i in range(1200)))} -> Y")
+    assert len(net.input_facts) == 1200
+
+
+def test_cli_compiles_a_3000_term_conjunction(capsys, tmp_path):
+    rules = tmp_path / "wide.rules"
+    rules.write_text(f"rule: {chain('&', (f'a{i}' for i in range(3000)))} -> Y\n")
+    code, out, err = run_cli(capsys, "compile", "--rules", str(rules))
+    assert code == 0, err
+    assert out.startswith("OPENQASM 2.0;")
+
+
+@pytest.mark.parametrize("kind", ["!", "("])
+def test_nesting_up_to_max_depth_parses_evaluates_and_compiles(kind):
+    net = parse_rules(f"rule: {nested(kind, MAX_DEPTH)} -> Y")
+    expected = 1 - MAX_DEPTH % 2 if kind == "!" else 1
+    assert evaluate_network(net, {"a": 1})["Y"] == expected
+    assert verify_compilation(net, compile_network(net)).ok
+    with pytest.raises(DslSyntaxError, match=f"deeper than {MAX_DEPTH}.*line 1, column"):
+        parse_rules(f"rule: {nested(kind, MAX_DEPTH + 1)} -> Y")
+
+
+DEEP_RULES = {
+    "3000 negations": f"rule: {nested('!', 3000)} -> Y\n",
+    "300 parentheses": f"rule: {nested('(', 300)} -> Y\n",
+}
+DEEP_IMPLICATIONS = f"rule: {chain('=>', (f's{i}' for i in range(3000)))}\n"
+
+
+@pytest.mark.parametrize("text", DEEP_RULES.values(), ids=DEEP_RULES.keys())
+def test_deep_rule_is_a_syntax_error(text, capsys, tmp_path):
+    with pytest.raises(DslSyntaxError):
+        parse_rules(text)
+    rules = tmp_path / "deep.rules"
+    rules.write_text(text)
+    code, _, err = run_cli(capsys, "compile", "--rules", str(rules))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_deep_implication_chain_is_a_syntax_error(capsys, tmp_path):
+    with pytest.raises(DslSyntaxError):
+        parse_constraints(DEEP_IMPLICATIONS)
+    constraints = tmp_path / "deep.constraints"
+    constraints.write_text(DEEP_IMPLICATIONS)
+    code, _, err = run_cli(capsys, "rlb", "--constraints", str(constraints))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_dense_run_beyond_physical_memory_fails_before_allocating(
+    capsys, tmp_path, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the memory preflight")
+
+    monkeypatch.setattr(simulator.np, "zeros", refuse)
+    circuit = tmp_path / "wide.qasm"
+    circuit.write_text(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[40];\ncreg c[1];\n'
+        "x q[0];\nmeasure q[0] -> c[0];\n"
+    )
+    code, _, err = run_cli(
+        capsys, "simulate", "--circuit", str(circuit), "--input", "0" * 40,
+        "--engine", "statevector", "--max-qubits", "40",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "GiB" in err

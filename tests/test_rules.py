@@ -129,6 +129,29 @@ class TestParser:
         net = parse_rules("\n# header\nrule: A -> X  # inline\n\n")
         assert net.input_facts == ("A",)
 
+    def test_chains_are_flat_whatever_the_association(self):
+        a, b, c = Atom("a"), Atom("b"), Atom("c")
+        assert Or(Or(a, b), c) == Or(a, Or(b, c)) == Or(a, b, c)
+        assert Or(a, b, c).operands == (a, b, c)
+        assert And(a, b) != Or(a, b)
+        assert Or(And(a, b), c).operands == (And(a, b), c)
+        for text in ("(a | b) | c", "a | (b | c)", "a | b | c"):
+            assert parse_rules(f"rule: {text} -> Y").rules[0].antecedent == Or(a, b, c)
+
+    def test_chain_needs_two_operands(self):
+        with pytest.raises(TypeError):
+            And(Atom("a"))
+        with pytest.raises(TypeError):
+            Or()
+        assert Or.of([Atom("a")]) == Atom("a")
+        assert Or.of(Atom(n) for n in "ab") == Or(Atom("a"), Atom("b"))
+
+    def test_chains_print_flat(self):
+        a, b, c = Atom("a"), Atom("b"), Atom("c")
+        assert format_expr(And(a, And(b, c))) == "a & b & c"
+        assert format_expr(Or(Or(a, b), c)) == "a | b | c"
+        assert format_expr(And(Or(a, b), c)) == "(a | b) & c"
+
 
 class TestEvaluateExpr:
     def test_and(self):
