@@ -124,9 +124,6 @@ class LogicBase:
     def __iter__(self) -> Iterator[tuple[Complex, Complex]]:
         return iter(self.pairs)
 
-    def __contains__(self, pair: tuple[Complex, Complex]) -> bool:
-        return pair in set(self.pairs)
-
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label("S") + d.label("D") for s, d in self.pairs)
 
@@ -137,7 +134,8 @@ def build_elb(
     """The expanded logic base: every symptom/diagnosis complex pairing.
 
     Pairs are ordered diagnosis-major: all symptom complexes under D0,
-    then all under D1, and so on.
+    then all under D1, and so on. Each complex is built once and shared
+    by every pair it appears in.
     """
     if n_symptoms < 1 or n_diagnoses < 1:
         raise ValueError("need at least one symptom and one diagnosis")
@@ -145,11 +143,9 @@ def build_elb(
         raise ValueError(
             f"{n_symptoms + n_diagnoses} attributes exceeds the cap of {max_attributes}"
         )
-    pairs = tuple(
-        (index_to_complex(s, n_symptoms), index_to_complex(d, n_diagnoses))
-        for d in range(1 << n_diagnoses)
-        for s in range(1 << n_symptoms)
-    )
+    symptoms = [index_to_complex(s, n_symptoms) for s in range(1 << n_symptoms)]
+    diagnoses = [index_to_complex(d, n_diagnoses) for d in range(1 << n_diagnoses)]
+    pairs = tuple((s, d) for d in diagnoses for s in symptoms)
     return LogicBase(n_symptoms, n_diagnoses, pairs)
 
 

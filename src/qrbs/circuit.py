@@ -27,6 +27,7 @@ __all__ = [
     "Measure",
     "Gate",
     "Circuit",
+    "MAX_REGISTER",
     "as_permutation",
     "export_qasm",
     "gate_counts",
@@ -252,6 +253,9 @@ def export_qasm(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Largest qreg/creg size import_qasm accepts; compiled networks stay far below it.
+MAX_REGISTER = 1 << 20
+
 _QASM_REG_RE = re.compile(r"(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\Z")
 _QASM_REF_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\Z")
 _QASM_GATE_RE = re.compile(r"(x|cx|ccx)\s+(.+)\Z")
@@ -291,6 +295,8 @@ def import_qasm(text: str) -> Circuit:
         reg = _QASM_REG_RE.match(statement)
         if reg:
             kind, name, size = reg.group(1), reg.group(2), int(reg.group(3))
+            if size > MAX_REGISTER:
+                raise QasmError(f"{kind} of size {size} exceeds the limit of {MAX_REGISTER}")
             if kind == "qreg":
                 if qreg is not None:
                     raise QasmError("multiple quantum registers are not supported")

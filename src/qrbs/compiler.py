@@ -30,7 +30,6 @@ from .rules import (
     Or,
     RuleNetwork,
     evaluate_network,
-    ordered_rules,
 )
 from .simulator import run
 
@@ -180,7 +179,7 @@ def compile_network(
     input_map = {fact: i for i, fact in enumerate(network.input_facts)}
     context = CompileContext(input_map, len(network.input_facts), options)
     result_facts: dict[int, str] = {}
-    for rule in ordered_rules(network):
+    for rule in network.ordered_rules:
         qubit = compile_expr(rule.antecedent, context)
         context.fact_qubits[rule.consequent] = qubit
         result_facts.setdefault(qubit, rule.consequent)

@@ -4,8 +4,8 @@ The clinical knowledge lives in three fixed tables: the fifteen relevant
 TNM complexes (one input qubit each, q0..q14), one disjunctive rule per
 stage naming the complexes compatible with it, and the output-bit order
 of the eight stages (c0 = I-A .. c7 = IV). ``classify_tnm`` reduces raw
-findings to a TNM class, ``stage`` activates the matching input qubit
-with an X gate, runs the compiled circuit and decodes the bit string
+findings to a TNM class, ``stage`` runs the compiled circuit from the
+basis state with the matching input qubit set and decodes the bit string
 into the set of compatible stages.
 
 A patient is in exactly one TNM state, so exactly one input qubit may be
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .circuit import Circuit, X
 from .compiler import CompiledCircuit, CompileOptions, compile_network
 from .errors import OneHotError, VocabularyError
 from .rules import Atom, Or, Rule, RuleNetwork
@@ -312,7 +311,7 @@ def run_activation(
     compiled: CompiledCircuit | None = None,
     max_qubits: int | None = None,
 ) -> tuple[StageSet, RunResult]:
-    """Activate input qubits per ``input_bits`` and run the staging circuit.
+    """Run the compiled staging circuit from the basis state ``input_bits`` sets.
 
     Exactly one bit must be set (a patient is in one TNM state); zero or
     several raise :class:`OneHotError` before any simulation starts.
@@ -326,17 +325,8 @@ def run_activation(
         )
     if compiled is None:
         compiled = build_idc_circuit()
-    circuit = _activation_circuit(compiled, active[0])
-    result = run(circuit, 0, engine, max_qubits)
+    result = run(compiled.circuit, 1 << active[0], engine, max_qubits)
     return decode_stages(result.bitstring), result
-
-
-def _activation_circuit(compiled: CompiledCircuit, qubit: int) -> Circuit:
-    base = compiled.circuit
-    circuit = Circuit(base.num_qubits, base.num_clbits, base.qubit_labels, base.clbit_labels)
-    circuit.append(X(qubit))
-    circuit.extend(base.gates)
-    return circuit
 
 
 def stage(

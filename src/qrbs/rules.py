@@ -31,9 +31,10 @@ circuit compiler relies on.
 
 from __future__ import annotations
 
+import heapq
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CycleError, DslSyntaxError, NetworkError
@@ -53,7 +54,6 @@ __all__ = [
     "evaluate_network",
     "format_expr",
     "format_network",
-    "ordered_rules",
     "parse_rules",
     "topological_order",
 ]
@@ -191,11 +191,15 @@ class RuleNetwork:
     Validation runs on construction: fact names are checked, consequents
     must be unique and disjoint from inputs, every atom must resolve, the
     outputs must resolve, and the dependency graph must be acyclic.
+
+    The acyclicity check keeps its result: ``ordered_rules`` holds the
+    rules in :func:`topological_order`, for evaluation and compilation.
     """
 
     input_facts: tuple[str, ...]
     rules: tuple[Rule, ...]
     outputs: tuple[str, ...]
+    ordered_rules: tuple[Rule, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in self.input_facts:
@@ -221,7 +225,7 @@ class RuleNetwork:
         for fact in self.outputs:
             if fact not in known:
                 raise NetworkError(f"unknown output fact {fact!r}")
-        topological_order(self)  # raises CycleError on cyclic dependencies
+        object.__setattr__(self, "ordered_rules", _order_rules(self))  # or CycleError
 
     @property
     def consequents(self) -> tuple[str, ...]:
@@ -234,41 +238,45 @@ def topological_order(network: RuleNetwork) -> tuple[str, ...]:
     Deterministic: inputs keep declaration order, and among the rules
     ready at each step the earliest-declared one goes first.
     """
-    order = list(network.input_facts)
-    resolved = set(order)
-    pending = list(network.rules)
-    while pending:
-        for i, rule in enumerate(pending):
-            if all(a in resolved for a in atom_names(rule.antecedent)):
-                order.append(rule.consequent)
-                resolved.add(rule.consequent)
-                del pending[i]
-                break
-        else:
-            raise CycleError(_find_cycle(pending, resolved))
+    return network.input_facts + tuple(rule.consequent for rule in _order_rules(network))
+
+
+def _order_rules(network: RuleNetwork) -> tuple[Rule, ...]:
+    """The rules in :func:`topological_order`; each antecedent is walked once."""
+    inputs = set(network.input_facts)
+    missing = [  # per rule, its unresolved atoms as an insertion-ordered set
+        dict.fromkeys(a for a in atom_names(rule.antecedent) if a not in inputs)
+        for rule in network.rules
+    ]
+    waiting: dict[str, list[int]] = {}  # fact -> the rules missing it
+    for i, atoms in enumerate(missing):
+        for atom in atoms:
+            waiting.setdefault(atom, []).append(i)
+    ready = [i for i, atoms in enumerate(missing) if not atoms]  # ascending, so a heap
+    order: list[Rule] = []
+    while ready:
+        rule = network.rules[heapq.heappop(ready)]
+        order.append(rule)
+        for i in waiting.get(rule.consequent, ()):
+            del missing[i][rule.consequent]
+            if not missing[i]:
+                heapq.heappush(ready, i)
+    if len(order) < len(network.rules):
+        pending = {rule.consequent: atoms for rule, atoms in zip(network.rules, missing) if atoms}
+        raise CycleError(_find_cycle(pending))
     return tuple(order)
 
 
-def _find_cycle(pending: list[Rule], resolved: set[str]) -> tuple[str, ...]:
-    deps = {
-        rule.consequent: [a for a in atom_names(rule.antecedent) if a not in resolved]
-        for rule in pending
-    }
-    node = pending[0].consequent
+def _find_cycle(pending: Mapping[str, Iterable[str]]) -> tuple[str, ...]:
+    """A cycle among the unordered rules, given as consequent -> unresolved atoms."""
+    node = next(iter(pending))
     path: list[str] = []
     position: dict[str, int] = {}
     while node not in position:
         position[node] = len(path)
         path.append(node)
-        node = next(a for a in deps[node] if a in deps)
+        node = next(iter(pending[node]))
     return tuple(path[position[node] :])
-
-
-def ordered_rules(network: RuleNetwork) -> tuple[Rule, ...]:
-    """The network's rules sorted so each antecedent precedes its consequent."""
-    by_consequent = {rule.consequent: rule for rule in network.rules}
-    facts = topological_order(network)
-    return tuple(by_consequent[f] for f in facts if f in by_consequent)
 
 
 def evaluate_network(network: RuleNetwork, inputs: Mapping[str, int]) -> dict[str, int]:
@@ -280,7 +288,7 @@ def evaluate_network(network: RuleNetwork, inputs: Mapping[str, int]) -> dict[st
     if unknown:
         raise NetworkError(f"unknown input fact {sorted(unknown)[0]!r}")
     values = {fact: (1 if inputs[fact] else 0) for fact in network.input_facts}
-    for rule in ordered_rules(network):
+    for rule in network.ordered_rules:
         values[rule.consequent] = evaluate_expr(rule.antecedent, values)
     return values
 

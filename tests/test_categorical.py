@@ -118,6 +118,8 @@ class TestReduce:
     def test_worked_reduction(self):
         rlb = reduce_to_rlb(build_elb(2, 2), WORKED_CONSTRAINTS)
         assert _pair_labels(rlb) == WORKED_RLB_LABELS
+        assert (index_to_complex(1, 2), index_to_complex(2, 2)) in rlb  # S1D2 kept
+        assert (index_to_complex(1, 2), index_to_complex(1, 2)) not in rlb  # S1D1 dropped
 
     def test_worked_reduction_from_file_text(self):
         constraint_set = parse_constraints(WORKED_CONSTRAINT_TEXT)

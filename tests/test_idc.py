@@ -335,6 +335,29 @@ class TestOneHotGuard:
         with pytest.raises(OneHotError):
             run_activation([0] * 15, compiled=compiled)
 
+    @pytest.mark.parametrize("engine", ["fast", "statevector"])
+    def test_compiled_circuit_runs_from_the_activated_basis_index(
+        self, compiled, monkeypatch, engine
+    ):
+        import qrbs.idc as idc_module
+
+        real_run = idc_module.run
+        calls = []
+
+        def spy(circuit, initial, engine, max_qubits):
+            calls.append((circuit, initial, engine))
+            return real_run(circuit, initial, "fast", max_qubits)  # cheap stand-in result
+
+        monkeypatch.setattr(idc_module, "run", spy)
+        assert stage(TnmClass("T2", "N0", "M0"), engine, compiled).result.bitstring == "00010100"
+        bits = [0] * 15
+        bits[9] = 1
+        assert run_activation(bits, engine, compiled)[1].bitstring == "00010000"
+        assert [(c is compiled.circuit, initial, e) for c, initial, e in calls] == [
+            (True, 1 << 5, engine),
+            (True, 1 << 9, engine),
+        ]
+
     def test_single_activation_accepted(self, compiled):
         stages, result = run_activation(
             [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], compiled=compiled

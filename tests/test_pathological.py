@@ -1,4 +1,4 @@
-"""Extreme input: wide chains, deep nesting and dense widths beyond memory.
+"""Extreme input: wide chains, deep nesting, huge registers and dense widths beyond memory.
 
 Every case must end in a result or a :class:`QrbsError` (exit 1 from the
 CLI), never in a ``RecursionError``, a ``MemoryError`` or a traceback.
@@ -8,9 +8,10 @@ import pytest
 
 from qrbs import simulator
 from qrbs.categorical import parse_constraints
+from qrbs.circuit import MAX_REGISTER, import_qasm
 from qrbs.cli import main
 from qrbs.compiler import compile_network, verify_compilation
-from qrbs.errors import DslSyntaxError
+from qrbs.errors import DslSyntaxError, QasmError
 from qrbs.rules import MAX_DEPTH, evaluate_network, format_network, parse_rules
 
 
@@ -108,3 +109,27 @@ def test_dense_run_beyond_physical_memory_fails_before_allocating(
     )
     assert code == 1
     assert err.startswith("error:") and "GiB" in err
+
+
+def qasm(qubits: int, clbits: int) -> str:
+    return f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{qubits}];\ncreg c[{clbits}];\n'
+
+
+def test_huge_classical_register_is_refused(capsys, tmp_path):
+    circuit = tmp_path / "huge.qasm"
+    circuit.write_text(qasm(1, 2_000_000_000_000_000_000))
+    code, _, err = run_cli(capsys, "simulate", "--circuit", str(circuit), "--input", "0")
+    assert code == 1
+    assert err.startswith("error:") and "2000000000000000000" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("qubits, clbits", [(MAX_REGISTER + 1, 1), (1, MAX_REGISTER + 1)])
+def test_register_past_the_cap_is_a_qasm_error(qubits, clbits):
+    with pytest.raises(QasmError, match=str(MAX_REGISTER + 1)):
+        import_qasm(qasm(qubits, clbits))
+
+
+def test_registers_at_the_cap_import():
+    circuit = import_qasm(qasm(MAX_REGISTER, MAX_REGISTER))
+    assert (circuit.num_qubits, circuit.num_clbits) == (MAX_REGISTER, MAX_REGISTER)

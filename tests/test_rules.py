@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_network
+from qrbs import rules
+from qrbs.compiler import compile_network
 from qrbs.errors import CycleError, DslSyntaxError, NetworkError
 from qrbs.rules import (
     And,
@@ -216,6 +218,18 @@ class TestTopologicalOrder:
             parse_rules("rule: Y -> X\nrule: X -> Y\noutputs: X")
         assert set(excinfo.value.facts) == {"X", "Y"}
 
+    def test_evaluation_and_compilation_reuse_the_stored_order(self, monkeypatch):
+        net = parse_rules(DEMO_RULES)
+
+        def explode(network):
+            raise AssertionError("rule order recomputed")
+
+        monkeypatch.setattr(rules, "topological_order", explode)
+        monkeypatch.setattr(rules, "_order_rules", explode)
+        env = {"A": 1, "B": 1, "C": 0, "D": 1, "E": 0}
+        assert evaluate_network(net, env)["R"] == _demo_oracle(1, 1, 0, 1, 0)[2]
+        assert compile_network(net).circuit.gates
+
 
 class TestEvaluateNetwork:
     def test_demo_case(self):
@@ -285,6 +299,24 @@ def test_format_parse_roundtrip(seed):
     first = parse_rules(format_network(net))
     second = parse_rules(format_network(first))
     assert first == second
+
+    reordered = tuple(rng.sample(net.rules, len(net.rules)))
+    shuffled = RuleNetwork(net.input_facts, reordered, net.outputs)
+    for network in (net, shuffled):
+        consequents = tuple(rule.consequent for rule in network.ordered_rules)
+        assert consequents == topological_order(network)[len(network.input_facts) :]
+        assert network.ordered_rules == _earliest_ready_first(network)
+
+
+def _earliest_ready_first(network: RuleNetwork) -> tuple[Rule, ...]:
+    """Reference order: take the earliest-declared rule whose atoms are all resolved."""
+    resolved, pending, order = set(network.input_facts), list(network.rules), []
+    while pending:
+        rule = next(r for r in pending if set(atom_names(r.antecedent)) <= resolved)
+        pending.remove(rule)
+        resolved.add(rule.consequent)
+        order.append(rule)
+    return tuple(order)
 
 
 @settings(max_examples=100)
