@@ -5,8 +5,10 @@ The stack, bottom to top: boolean rule networks with a textual DSL
 complexes (:mod:`qrbs.categorical`), a reversible-circuit IR with an
 OpenQASM 2.0 subset interchange (:mod:`qrbs.circuit`), a compiler from
 networks to circuits (:mod:`qrbs.compiler`), dense and basis-state
-simulation engines (:mod:`qrbs.simulator`), and a TNM staging
-application built on all of it (:mod:`qrbs.idc`).
+simulation engines (:mod:`qrbs.simulator`), a bit-plane kernel that
+runs rules and circuits over every input assignment at once for
+exhaustive checks (:mod:`qrbs.planes`), and a TNM staging application
+built on all of it (:mod:`qrbs.idc`).
 """
 
 from .categorical import (

@@ -19,14 +19,22 @@ Constraint files reuse the rule DSL plus the ``=>`` operator and
 ``rule: any_symptom_implies_diagnosis`` is shorthand for the common
 "symptoms require some diagnosis" constraint
 ``(s1 | ... | sn) => (d1 | ... | dm)``.
+
+:func:`reduce_to_rlb` evaluates the constraints on bit-planes
+(:mod:`qrbs.planes`) over the pair index ``d << ns | s``, the position
+of the pair in the expanded logic base: each constraint is one integer
+per chunk of ``2^16`` pairs, their AND is the mask of pairs kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
+from . import planes
 from .errors import DslSyntaxError, NetworkError
 from .rules import (
     Atom,
@@ -38,7 +46,6 @@ from .rules import (
     _parse_name_list,
     _parse_rule_head,
     atom_names,
-    evaluate_expr,
 )
 
 __all__ = [
@@ -256,7 +263,12 @@ def reduce_to_rlb(
     symptom_names: Sequence[str] | None = None,
     diagnosis_names: Sequence[str] | None = None,
 ) -> LogicBase:
-    """Keep exactly the pairs whose joint assignment satisfies every constraint."""
+    """Keep exactly the pairs whose joint assignment satisfies every constraint.
+
+    The kept pairs stay in the order of ``elb``. For a base in
+    :func:`build_elb` order, pair ``p`` of the mask is ``elb.pairs[p]``;
+    any other base is matched pair by pair on its complexes' indices.
+    """
     symptom_names = tuple(symptom_names or (f"s{i}" for i in range(1, elb.n_symptoms + 1)))
     diagnosis_names = tuple(diagnosis_names or (f"d{i}" for i in range(1, elb.n_diagnoses + 1)))
     if len(symptom_names) != elb.n_symptoms or len(diagnosis_names) != elb.n_diagnoses:
@@ -270,13 +282,39 @@ def reduce_to_rlb(
             if atom not in known:
                 label = constraint.name or "constraint"
                 raise NetworkError(f"unknown atom {atom!r} in {label}")
-    kept = []
-    for symptom, diagnosis in elb.pairs:
-        assignment = dict(zip(symptom_names, symptom.bits))
-        assignment.update(zip(diagnosis_names, diagnosis.bits))
-        if all(evaluate_expr(c.expr, assignment) for c in constraints):
-            kept.append((symptom, diagnosis))
-    return LogicBase(elb.n_symptoms, elb.n_diagnoses, tuple(kept))
+    # bit b of a pair index d << ns | s is names[b]: the first attribute is the top bit
+    names = symptom_names[::-1] + diagnosis_names[::-1]
+    satisfying = []
+    for chunk in planes.chunks(len(names)):
+        ones, inputs = planes.input_planes(len(names), chunk)
+        values = dict(zip(names, inputs))
+        mask = reduce(and_, (planes.evaluate(c.expr, values, ones) for c in constraints), ones)
+        satisfying += (chunk << planes.CHUNK_BITS | j for j in planes.set_bits(mask))
+    if _in_elb_order(elb):
+        kept = tuple(elb.pairs[p] for p in satisfying)
+    else:
+        wanted = set(satisfying)
+        ns = elb.n_symptoms
+        kept = tuple((s, d) for s, d in elb.pairs if d.index << ns | s.index in wanted)
+    return LogicBase(elb.n_symptoms, elb.n_diagnoses, kept)
+
+
+def _in_elb_order(base: LogicBase) -> bool:
+    """True if ``base`` is a whole ELB in :func:`build_elb` order: pair ``p`` has index ``p``."""
+    if len(base.pairs) != 1 << (base.n_symptoms + base.n_diagnoses):
+        return False
+    step = 1 << base.n_symptoms
+    symptoms = [s for s, _ in base.pairs]
+    diagnoses = [d for _, d in base.pairs]
+    return (
+        all(c.index == i for i, c in enumerate(symptoms[:step]))
+        and all(c.index == i for i, c in enumerate(diagnoses[::step]))
+        and symptoms == symptoms[:step] * (len(diagnoses) // step)
+        and all(
+            diagnoses[p : p + step] == [d] * step
+            for p, d in zip(range(0, len(diagnoses), step), diagnoses[::step])
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

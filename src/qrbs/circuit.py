@@ -262,6 +262,17 @@ _QASM_GATE_RE = re.compile(r"(x|cx|ccx)\s+(.+)\Z")
 _QASM_MEASURE_RE = re.compile(r"measure\s+(.+?)\s*->\s*(.+)\Z")
 
 
+def _qasm_number(digits: str, what: str) -> int:
+    # int() of a long enough digit string raises a bare ValueError (and is slow), so
+    # anything with more digits than MAX_REGISTER is refused before converting
+    if len(digits.lstrip("0")) > len(str(MAX_REGISTER)):
+        shown = digits if len(digits) <= 24 else digits[:20] + "..."
+        raise QasmError(
+            f"{what} {shown} ({len(digits)} digits) exceeds the limit of {MAX_REGISTER}"
+        )
+    return int(digits)
+
+
 def import_qasm(text: str) -> Circuit:
     """Parse the exporter's OpenQASM subset back into a :class:`Circuit`."""
     qreg: tuple[str, int] | None = None
@@ -272,13 +283,13 @@ def import_qasm(text: str) -> Circuit:
         match = _QASM_REF_RE.match(token.strip())
         if not match or qreg is None or match.group(1) != qreg[0]:
             raise QasmError(f"bad qubit reference {token.strip()!r}")
-        return int(match.group(2))
+        return _qasm_number(match.group(2), "qubit index")
 
     def clbit_ref(token: str) -> int:
         match = _QASM_REF_RE.match(token.strip())
         if not match or creg is None or match.group(1) != creg[0]:
             raise QasmError(f"bad classical bit reference {token.strip()!r}")
-        return int(match.group(2))
+        return _qasm_number(match.group(2), "classical bit index")
 
     statements = []
     for raw in text.splitlines():
@@ -294,7 +305,8 @@ def import_qasm(text: str) -> Circuit:
             continue
         reg = _QASM_REG_RE.match(statement)
         if reg:
-            kind, name, size = reg.group(1), reg.group(2), int(reg.group(3))
+            kind, name = reg.group(1), reg.group(2)
+            size = _qasm_number(reg.group(3), f"{kind} size")
             if size > MAX_REGISTER:
                 raise QasmError(f"{kind} of size {size} exceeds the limit of {MAX_REGISTER}")
             if kind == "qreg":

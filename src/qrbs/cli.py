@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-compile", help="check a compiled rule file against evaluation")
     p.add_argument("--rules", required=True, help="rule DSL file")
-    p.add_argument("--max-inputs", type=int, default=16, help="exhaustive-check input cap")
+    p.add_argument("--max-inputs", type=int, default=24, help="exhaustive-check input cap")
     _add_compile_flags(p)
     p.set_defaults(func=_cmd_verify_compile)
 

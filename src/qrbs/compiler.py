@@ -11,14 +11,22 @@ qubits are harmless and uncomputation would only inflate gate count).
 With subexpression sharing on (the default), structurally identical
 subexpressions reuse one result qubit instead of recomputing; chains are
 flat in the AST, so how a chain was parenthesised does not matter.
+
+:func:`verify_compilation` checks a compiled circuit against the scalar
+rule evaluator on every input assignment. It runs on the bit-plane
+kernel of :mod:`qrbs.planes`: the rules and the gate list each run once
+per chunk of ``2^16`` assignments, one integer operation per connective
+or gate, and only the assignments whose bits differ are decoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping
 
+from . import planes
 from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X
 from .errors import CompileError, NetworkError
 from .rules import (
@@ -244,14 +252,18 @@ class VerificationReport:
 def verify_compilation(
     network: RuleNetwork,
     compiled: CompiledCircuit,
-    max_inputs: int = 16,
+    max_inputs: int = 24,
     assignments: Iterable[Mapping[str, int]] | None = None,
 ) -> VerificationReport:
     """Compare circuit semantics against forward evaluation.
 
     By default every one of the ``2^k`` input assignments is checked
-    (``k`` capped at ``max_inputs``); pass ``assignments`` to check a
-    chosen subset instead. Ancillae start at 0, as in a real run.
+    (``k`` capped at ``max_inputs``) on bit-planes, and mismatches come
+    by assignment word (bit ``i`` is input ``i``) ascending, then in
+    ``output_map`` order. Pass ``assignments`` to check a chosen subset
+    instead, one at a time with the scalar evaluator and the fast
+    engine; the report is the same for the same assignments. Ancillae
+    start at 0, as in a real run.
     """
     facts = network.input_facts
     if assignments is None:
@@ -259,10 +271,7 @@ def verify_compilation(
             raise CompileError(
                 f"exhaustive verification capped at {max_inputs} inputs, got {len(facts)}"
             )
-        assignments = (
-            {fact: word >> i & 1 for i, fact in enumerate(facts)}
-            for word in range(1 << len(facts))
-        )
+        return _verify_exhaustive(network, compiled)
 
     mismatches: list[Mismatch] = []
     checked = 0
@@ -285,3 +294,29 @@ def verify_compilation(
                     )
                 )
     return VerificationReport(checked, tuple(mismatches))
+
+
+def _verify_exhaustive(network: RuleNetwork, compiled: CompiledCircuit) -> VerificationReport:
+    facts = network.input_facts
+    by_name = sorted((fact, i) for i, fact in enumerate(facts))  # a Mismatch lists facts sorted
+    mismatches: list[Mismatch] = []
+    for chunk in planes.chunks(len(facts)):
+        ones, inputs = planes.input_planes(len(facts), chunk)
+        values = dict(zip(facts, inputs))
+        for rule in network.ordered_rules:
+            values[rule.consequent] = planes.evaluate(rule.antecedent, values, ones)
+        qubits = [0] * compiled.circuit.num_qubits
+        for fact, plane in zip(facts, inputs):
+            qubits[compiled.input_map[fact]] = plane
+        measured = planes.run(compiled.circuit, qubits, ones)
+        actual = {fact: measured[clbit] for fact, (_, clbit) in compiled.output_map.items()}
+        wrong = {fact: values[fact] ^ plane for fact, plane in actual.items()}
+        for j in planes.set_bits(reduce(or_, wrong.values(), 0)):
+            word = chunk << planes.CHUNK_BITS | j
+            assignment = tuple((fact, word >> i & 1) for fact, i in by_name)
+            mismatches.extend(
+                Mismatch(assignment, fact, values[fact] >> j & 1, actual[fact] >> j & 1)
+                for fact, plane in wrong.items()
+                if plane >> j & 1
+            )
+    return VerificationReport(1 << len(facts), tuple(mismatches))

@@ -262,11 +262,23 @@ class TestVerifyCompilation:
         assert report.assignments_checked == 1
 
     def test_exhaustive_cap(self):
-        inputs = tuple(f"i{k}" for k in range(17))
+        inputs = tuple(f"i{k}" for k in range(25))
         network = RuleNetwork(inputs, (), (inputs[0],))
         compiled = compile_network(network)
         with pytest.raises(CompileError, match="capped"):
             verify_compilation(network, compiled)
+
+    def test_twenty_inputs_verify_exhaustively(self):
+        facts = [f"i{k}" for k in range(20)]
+        text = "\n".join(
+            f"rule: {facts[k]} & !{facts[(k + 7) % 20]} | {facts[(k + 13) % 20]} -> f{k}"
+            for k in range(20)
+        )
+        network = parse_rules(text)
+        assert len(network.input_facts) == 20
+        report = verify_compilation(network, compile_network(network))
+        assert report.ok
+        assert report.assignments_checked == 2**20
 
     def test_trivial_passthrough_network(self):
         network = RuleNetwork(("A", "B"), (), ("A", "B"))

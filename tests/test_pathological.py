@@ -133,3 +133,37 @@ def test_register_past_the_cap_is_a_qasm_error(qubits, clbits):
 def test_registers_at_the_cap_import():
     circuit = import_qasm(qasm(MAX_REGISTER, MAX_REGISTER))
     assert (circuit.num_qubits, circuit.num_clbits) == (MAX_REGISTER, MAX_REGISTER)
+
+
+HUGE = "1" * 5000  # past Python's 4300-digit limit for int()
+
+HUGE_NUMBERS = {
+    "5000-digit qreg": f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{HUGE}];\n',
+    "5000-digit bit index": qasm(2, 1) + f"x q[{HUGE}];\nmeasure q[0] -> c[0];\n",
+}
+
+
+@pytest.mark.parametrize("text", HUGE_NUMBERS.values(), ids=HUGE_NUMBERS.keys())
+def test_number_past_the_digit_limit_is_a_qasm_error(text, capsys, tmp_path):
+    with pytest.raises(QasmError, match="5000 digits"):
+        import_qasm(text)
+    circuit = tmp_path / "huge.qasm"
+    circuit.write_text(text)
+    code, _, err = run_cli(capsys, "simulate", "--circuit", str(circuit), "--input", "00")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+MALFORMED = {
+    "missing ]": "x q[0;\n",
+    "unknown gate": "h q[0];\n",
+    "measure without ->": "measure q[0] c[0];\n",
+    "duplicate qreg": "qreg r[2];\n",
+    "undeclared register": "x r[0];\n",
+}
+
+
+@pytest.mark.parametrize("statement", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_statement_is_a_qasm_error(statement):
+    with pytest.raises(QasmError):
+        import_qasm(qasm(2, 1) + statement)

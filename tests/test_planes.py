@@ -1,0 +1,151 @@
+"""The bit-plane kernel against the scalar oracles.
+
+Exhaustive verification and RLB reduction run on :mod:`qrbs.planes`;
+``evaluate_network``, ``evaluate_expr`` and the fast engine stay the
+references they are checked against here, mismatch order included.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_circuit, random_expr, random_network
+from qrbs import planes
+from qrbs.categorical import ConstraintRule, LogicBase, build_elb, reduce_to_rlb
+from qrbs.circuit import Circuit, Measure, X
+from qrbs.compiler import (
+    CompiledCircuit,
+    VerificationReport,
+    compile_network,
+    verify_compilation,
+)
+from qrbs.rules import evaluate_expr, parse_rules
+from qrbs.simulator import run
+
+SEEDS = st.integers(0, 2**32)
+
+
+def _words(network, words):
+    facts = network.input_facts
+    return [{fact: word >> i & 1 for i, fact in enumerate(facts)} for word in words]
+
+
+def _word(network, mismatch) -> int:
+    bits = dict(mismatch.assignment)
+    return sum(bits[fact] << i for i, fact in enumerate(network.input_facts))
+
+
+def _mutated(compiled, rng: random.Random, mutation: str) -> CompiledCircuit:
+    """``compiled`` with one unitary gate dropped or one ``X`` added before the measurements."""
+    gates = compiled.circuit.gates
+    unitary = [i for i, gate in enumerate(gates) if not isinstance(gate, Measure)]
+    if mutation == "drop" and unitary:
+        dropped = rng.choice(unitary)
+        gates = [gate for i, gate in enumerate(gates) if i != dropped]
+    else:
+        at = rng.randint(0, len(unitary))
+        gates = gates[:at] + [X(rng.randrange(compiled.circuit.num_qubits))] + gates[at:]
+    circuit = Circuit(compiled.circuit.num_qubits, compiled.circuit.num_clbits)
+    circuit.extend(gates)
+    return CompiledCircuit(circuit, compiled.input_map, compiled.output_map, 0)
+
+
+class TestVerification:
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS, st.sampled_from(["none", "drop", "x"]))
+    def test_exhaustive_report_equals_the_scalar_report(self, seed, mutation):
+        rng = random.Random(seed)
+        network = random_network(rng, with_implies=seed % 3 == 0)
+        compiled = compile_network(network)
+        if mutation != "none":
+            compiled = _mutated(compiled, rng, mutation)
+        every = _words(network, range(1 << len(network.input_facts)))
+        exhaustive = verify_compilation(network, compiled)
+        assert exhaustive == verify_compilation(network, compiled, assignments=every)
+
+    def test_more_than_one_chunk(self):
+        # 18 inputs, so four chunks; i16 and i17 are constant within each
+        low = " & ".join(f"i{k}" for k in range(16))
+        network = parse_rules(f"rule: {low} & i16 & i17 -> Y\nrule: {low} & i17 -> Z\n")
+        compiled = compile_network(network)
+        assert verify_compilation(network, compiled) == VerificationReport(1 << 18, ())
+
+        # an X on i17's qubit first makes Z wrong on the top word of every chunk,
+        # and Y on the top words of chunks 1 and 3
+        broken = Circuit(compiled.circuit.num_qubits, compiled.circuit.num_clbits)
+        broken.append(X(compiled.input_map["i17"]))
+        broken.extend(compiled.circuit.gates)
+        broken = CompiledCircuit(broken, compiled.input_map, compiled.output_map, 0)
+        report = verify_compilation(network, broken)
+        assert report.assignments_checked == 1 << 18
+        assert [(_word(network, m), m.fact) for m in report.mismatches] == [
+            (0x0FFFF, "Z"),
+            (0x1FFFF, "Y"),
+            (0x1FFFF, "Z"),
+            (0x2FFFF, "Z"),
+            (0x3FFFF, "Y"),
+            (0x3FFFF, "Z"),
+        ]
+        rng = random.Random(7)
+        sample = {rng.randrange(1 << 18) for _ in range(300)} | {w << 16 | 0xFFFF for w in range(4)}
+        scalar = verify_compilation(network, broken, assignments=_words(network, sorted(sample)))
+        assert scalar.mismatches == report.mismatches
+
+
+class TestRun:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 30), SEEDS)
+    def test_plane_run_matches_the_fast_engine_on_every_basis_input(self, n, gates, seed):
+        circuit = Circuit(n, n)
+        circuit.extend(random_circuit(random.Random(seed), n, gates, with_measures=False).gates)
+        circuit.extend(Measure(q, q) for q in range(n))
+        ones, inputs = planes.input_planes(n, 0)
+        measured = planes.run(circuit, inputs, ones)
+        for word in range(1 << n):
+            result = run(circuit, word, engine="fast")
+            assert tuple(plane >> word & 1 for plane in measured) == result.bits
+            assert sum((plane >> word & 1) << q for q, plane in enumerate(measured)) == (
+                result.final_state
+            )
+
+
+def _scalar_rlb(elb, constraints, names) -> tuple:
+    return tuple(
+        (s, d)
+        for s, d in elb.pairs
+        if all(evaluate_expr(c.expr, dict(zip(names, s.bits + d.bits))) for c in constraints)
+    )
+
+
+def _random_constraints(rng, names, count):
+    return tuple(
+        ConstraintRule(random_expr(rng, names, rng.randint(0, 3), with_implies=True))
+        for _ in range(count)
+    )
+
+
+class TestReduction:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), SEEDS)
+    def test_reduction_equals_the_scalar_filter(self, ns, nd, seed):
+        rng = random.Random(seed)
+        names = [f"s{i}" for i in range(1, ns + 1)] + [f"d{i}" for i in range(1, nd + 1)]
+        constraints = _random_constraints(rng, names, rng.randint(0, 4))
+        elb = build_elb(ns, nd)
+        assert reduce_to_rlb(elb, constraints).pairs == _scalar_rlb(elb, constraints, names)
+
+        # a base not in build_elb order (shuffled, then thinned) keeps its own order
+        pairs = list(elb.pairs)
+        rng.shuffle(pairs)
+        base = LogicBase(ns, nd, tuple(pairs[: rng.randint(0, len(pairs))]))
+        assert reduce_to_rlb(base, constraints).pairs == _scalar_rlb(base, constraints, names)
+
+    def test_more_than_one_chunk(self):
+        ns, nd = 9, 8
+        names = [f"s{i}" for i in range(1, ns + 1)] + [f"d{i}" for i in range(1, nd + 1)]
+        constraints = _random_constraints(random.Random(3), names, 3)
+        elb = build_elb(ns, nd)
+        rlb = reduce_to_rlb(elb, constraints)
+        assert rlb.pairs == _scalar_rlb(elb, constraints, names)
+        assert 0 < len(rlb) < len(elb)
