@@ -56,6 +56,7 @@ from .errors import (
     QrbsError,
     SimulationError,
     StagingError,
+    VerificationError,
     VocabularyError,
 )
 from .idc import (

@@ -20,18 +20,24 @@ Constraint files reuse the rule DSL plus the ``=>`` operator and
 "symptoms require some diagnosis" constraint
 ``(s1 | ... | sn) => (d1 | ... | dm)``.
 
+A :class:`LogicBase` is index-backed: it holds the pair index
+``d << ns | s`` of each pair, which is also the position of the pair in
+the expanded logic base, so :func:`build_elb` stores only a ``range``.
 :func:`reduce_to_rlb` evaluates the constraints on bit-planes
-(:mod:`qrbs.planes`) over the pair index ``d << ns | s``, the position
-of the pair in the expanded logic base: each constraint is one integer
+(:mod:`qrbs.planes`) over the pair index: each constraint is one integer
 per chunk of ``2^16`` pairs, their AND is the mask of pairs kept.
+:func:`diagnose` is a dict lookup into the base's diagnosis indices
+grouped by symptom, built once per base; ``Complex`` objects are built
+only for what is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import and_
+from functools import cached_property, reduce
+from itertools import product
+from operator import and_, eq, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import planes
@@ -110,29 +116,90 @@ class Complex:
         return f"{prefix}{self.index}"
 
 
-@dataclass(frozen=True)
 class LogicBase:
-    """An ordered set of (symptom complex, diagnosis complex) pairs."""
+    """An ordered set of (symptom complex, diagnosis complex) pairs.
 
-    n_symptoms: int
-    n_diagnoses: int
-    pairs: tuple[tuple[Complex, Complex], ...]
+    A base is index-backed: ``indices`` holds the pair index
+    ``d << n_symptoms | s`` of each pair, in order. ``pairs``, the
+    labels and the per-symptom grouping that :func:`diagnose` looks up
+    are built from the indices when first asked for, once per base.
+    """
 
-    def __post_init__(self) -> None:
-        for symptom, diagnosis in self.pairs:
-            if len(symptom.bits) != self.n_symptoms or len(diagnosis.bits) != self.n_diagnoses:
+    def __init__(
+        self, n_symptoms: int, n_diagnoses: int, pairs: Iterable[tuple[Complex, Complex]]
+    ) -> None:
+        indices = []
+        for symptom, diagnosis in pairs:
+            if len(symptom.bits) != n_symptoms or len(diagnosis.bits) != n_diagnoses:
                 raise ValueError("logic-base pair has inconsistent dimensions")
-        if len(set(self.pairs)) != len(self.pairs):
+            indices.append(diagnosis.index << n_symptoms | symptom.index)
+        if len(set(indices)) != len(indices):
             raise ValueError("duplicate pair in logic base")
+        self.n_symptoms, self.n_diagnoses = n_symptoms, n_diagnoses
+        self.indices: Sequence[int] = tuple(indices)
+
+    @classmethod
+    def _from_indices(cls, n_symptoms: int, n_diagnoses: int, indices: Sequence[int]) -> LogicBase:
+        """A base over distinct, in-range pair indices, taken as they are."""
+        base = cls.__new__(cls)
+        base.n_symptoms, base.n_diagnoses, base.indices = n_symptoms, n_diagnoses, indices
+        return base
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.indices)
 
     def __iter__(self) -> Iterator[tuple[Complex, Complex]]:
         return iter(self.pairs)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogicBase):
+            return NotImplemented
+        return (
+            (self.n_symptoms, self.n_diagnoses, len(self))
+            == (other.n_symptoms, other.n_diagnoses, len(other))
+            and all(map(eq, self.indices, other.indices))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_symptoms, self.n_diagnoses, len(self)))
+
+    def __repr__(self) -> str:
+        return (
+            f"LogicBase({self.n_symptoms} symptoms, {self.n_diagnoses} diagnoses, "
+            f"{len(self)} pairs)"
+        )
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[Complex, Complex], ...]:
+        symptoms, diagnoses = _complexes(self.n_symptoms), self._diagnosis_complexes
+        low = (1 << self.n_symptoms) - 1
+        return tuple((symptoms[p & low], diagnoses[p >> self.n_symptoms]) for p in self.indices)
+
     def labels(self) -> tuple[str, ...]:
-        return tuple(s.label("S") + d.label("D") for s, d in self.pairs)
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> tuple[str, ...]:
+        low = (1 << self.n_symptoms) - 1
+        return tuple(f"S{p & low}D{p >> self.n_symptoms}" for p in self.indices)
+
+    @cached_property
+    def _diagnosis_complexes(self) -> tuple[Complex, ...]:
+        return _complexes(self.n_diagnoses)
+
+    @cached_property
+    def _diagnoses_by_symptom(self) -> dict[int, list[int]]:
+        """Symptom index -> the diagnosis indices paired with it, in base order."""
+        groups: dict[int, list[int]] = {}
+        low = (1 << self.n_symptoms) - 1
+        for p in self.indices:
+            groups.setdefault(p & low, []).append(p >> self.n_symptoms)
+        return groups
+
+
+def _complexes(n: int) -> tuple[Complex, ...]:
+    """Every complex over ``n`` attributes, complex ``i`` at position ``i``."""
+    return tuple(map(Complex, product((0, 1), repeat=n)))
 
 
 def build_elb(
@@ -141,8 +208,9 @@ def build_elb(
     """The expanded logic base: every symptom/diagnosis complex pairing.
 
     Pairs are ordered diagnosis-major: all symptom complexes under D0,
-    then all under D1, and so on. Each complex is built once and shared
-    by every pair it appears in.
+    then all under D1, and so on, so pair ``p`` has index ``p`` and the
+    base holds just ``range(2^(n_symptoms + n_diagnoses))``; no complex
+    is built until :attr:`LogicBase.pairs` is read.
     """
     if n_symptoms < 1 or n_diagnoses < 1:
         raise ValueError("need at least one symptom and one diagnosis")
@@ -150,10 +218,7 @@ def build_elb(
         raise ValueError(
             f"{n_symptoms + n_diagnoses} attributes exceeds the cap of {max_attributes}"
         )
-    symptoms = [index_to_complex(s, n_symptoms) for s in range(1 << n_symptoms)]
-    diagnoses = [index_to_complex(d, n_diagnoses) for d in range(1 << n_diagnoses)]
-    pairs = tuple((s, d) for d in diagnoses for s in symptoms)
-    return LogicBase(n_symptoms, n_diagnoses, pairs)
+    return LogicBase._from_indices(n_symptoms, n_diagnoses, range(1 << (n_symptoms + n_diagnoses)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +330,9 @@ def reduce_to_rlb(
 ) -> LogicBase:
     """Keep exactly the pairs whose joint assignment satisfies every constraint.
 
-    The kept pairs stay in the order of ``elb``. For a base in
-    :func:`build_elb` order, pair ``p`` of the mask is ``elb.pairs[p]``;
-    any other base is matched pair by pair on its complexes' indices.
+    The kept pairs stay in the order of ``elb``. The satisfying pair
+    indices come out ascending, which is :func:`build_elb` order; a base
+    in any other order keeps those of its indices that satisfy.
     """
     symptom_names = tuple(symptom_names or (f"s{i}" for i in range(1, elb.n_symptoms + 1)))
     diagnosis_names = tuple(diagnosis_names or (f"d{i}" for i in range(1, elb.n_diagnoses + 1)))
@@ -290,31 +355,12 @@ def reduce_to_rlb(
         values = dict(zip(names, inputs))
         mask = reduce(and_, (planes.evaluate(c.expr, values, ones) for c in constraints), ones)
         satisfying += (chunk << planes.CHUNK_BITS | j for j in planes.set_bits(mask))
-    if _in_elb_order(elb):
-        kept = tuple(elb.pairs[p] for p in satisfying)
+    if elb.indices == range(1 << len(names)):  # in build_elb order, as satisfying is
+        kept = tuple(satisfying)
     else:
         wanted = set(satisfying)
-        ns = elb.n_symptoms
-        kept = tuple((s, d) for s, d in elb.pairs if d.index << ns | s.index in wanted)
-    return LogicBase(elb.n_symptoms, elb.n_diagnoses, kept)
-
-
-def _in_elb_order(base: LogicBase) -> bool:
-    """True if ``base`` is a whole ELB in :func:`build_elb` order: pair ``p`` has index ``p``."""
-    if len(base.pairs) != 1 << (base.n_symptoms + base.n_diagnoses):
-        return False
-    step = 1 << base.n_symptoms
-    symptoms = [s for s, _ in base.pairs]
-    diagnoses = [d for _, d in base.pairs]
-    return (
-        all(c.index == i for i, c in enumerate(symptoms[:step]))
-        and all(c.index == i for i, c in enumerate(diagnoses[::step]))
-        and symptoms == symptoms[:step] * (len(diagnoses) // step)
-        and all(
-            diagnoses[p : p + step] == [d] * step
-            for p, d in zip(range(0, len(diagnoses), step), diagnoses[::step])
-        )
-    )
+        kept = tuple(p for p in elb.indices if p in wanted)
+    return LogicBase._from_indices(elb.n_symptoms, elb.n_diagnoses, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +395,29 @@ class Verdict:
 
 
 def diagnose(symptoms: Complex, logic_base: LogicBase) -> Verdict:
-    """Look up the diagnosis complexes compatible with ``symptoms``."""
+    """Look up the diagnosis complexes compatible with ``symptoms``.
+
+    The lookup is one dict access into the base's per-symptom grouping
+    of diagnosis indices. Disease ``k`` is bit ``n_diagnoses - 1 - k`` of
+    a diagnosis index: present if it is set in the AND of the group,
+    absent if it is clear in the OR, uncertain otherwise.
+    """
     if len(symptoms.bits) != logic_base.n_symptoms:
         raise ValueError(
             f"symptom complex has {len(symptoms.bits)} attributes, "
             f"logic base has {logic_base.n_symptoms}"
         )
-    compatible = tuple(d for s, d in logic_base.pairs if s == symptoms)
-    if not compatible:
+    group = logic_base._diagnoses_by_symptom.get(symptoms.index)
+    if not group:
         return Verdict(symptoms, (), ())
+    every, some = reduce(and_, group), reduce(or_, group)
     diseases = []
-    for k in range(logic_base.n_diagnoses):
-        values = {d.bits[k] for d in compatible}
-        if values == {1}:
+    for b in reversed(range(logic_base.n_diagnoses)):
+        if every >> b & 1:
             diseases.append(Presence.PRESENT)
-        elif values == {0}:
-            diseases.append(Presence.ABSENT)
-        else:
+        elif some >> b & 1:
             diseases.append(Presence.UNCERTAIN)
-    return Verdict(symptoms, compatible, tuple(diseases))
+        else:
+            diseases.append(Presence.ABSENT)
+    complexes = logic_base._diagnosis_complexes
+    return Verdict(symptoms, tuple(complexes[d] for d in group), tuple(diseases))

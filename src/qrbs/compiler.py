@@ -16,7 +16,8 @@ flat in the AST, so how a chain was parenthesised does not matter.
 rule evaluator on every input assignment. It runs on the bit-plane
 kernel of :mod:`qrbs.planes`: the rules and the gate list each run once
 per chunk of ``2^16`` assignments, one integer operation per connective
-or gate, and only the assignments whose bits differ are decoded.
+or gate, and only the assignments whose bits differ are decoded, up
+to ``MAX_MISMATCHES`` of them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Mapping
 
 from . import planes
 from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X
-from .errors import CompileError, NetworkError
+from .errors import CompileError, NetworkError, VerificationError
 from .rules import (
     And,
     Atom,
@@ -42,6 +43,7 @@ from .rules import (
 from .simulator import run
 
 __all__ = [
+    "MAX_MISMATCHES",
     "CompileContext",
     "CompileOptions",
     "CompiledCircuit",
@@ -220,6 +222,11 @@ def compile_network(
 # ---------------------------------------------------------------------------
 
 
+# Exhaustive verification refuses, with a VerificationError, to list more
+# (assignment, output) mismatches than this.
+MAX_MISMATCHES = 10_000
+
+
 @dataclass(frozen=True)
 class Mismatch:
     assignment: tuple[tuple[str, int], ...]
@@ -264,6 +271,10 @@ def verify_compilation(
     instead, one at a time with the scalar evaluator and the fast
     engine; the report is the same for the same assignments. Ancillae
     start at 0, as in a real run.
+
+    The exhaustive check counts the mismatches before it decodes any,
+    and raises :class:`VerificationError` with the count when there are
+    more than ``MAX_MISMATCHES``.
     """
     facts = network.input_facts
     if assignments is None:
@@ -299,7 +310,8 @@ def verify_compilation(
 def _verify_exhaustive(network: RuleNetwork, compiled: CompiledCircuit) -> VerificationReport:
     facts = network.input_facts
     by_name = sorted((fact, i) for i, fact in enumerate(facts))  # a Mismatch lists facts sorted
-    mismatches: list[Mismatch] = []
+    wrong_chunks = []  # (chunk, expected planes, wrong planes) of the chunks with a mismatch
+    count = 0
     for chunk in planes.chunks(len(facts)):
         ones, inputs = planes.input_planes(len(facts), chunk)
         values = dict(zip(facts, inputs))
@@ -309,14 +321,27 @@ def _verify_exhaustive(network: RuleNetwork, compiled: CompiledCircuit) -> Verif
         for fact, plane in zip(facts, inputs):
             qubits[compiled.input_map[fact]] = plane
         measured = planes.run(compiled.circuit, qubits, ones)
-        actual = {fact: measured[clbit] for fact, (_, clbit) in compiled.output_map.items()}
-        wrong = {fact: values[fact] ^ plane for fact, plane in actual.items()}
-        for j in planes.set_bits(reduce(or_, wrong.values(), 0)):
+        expected = {fact: values[fact] for fact in compiled.output_map}
+        wrong = {
+            fact: expected[fact] ^ measured[clbit]
+            for fact, (_, clbit) in compiled.output_map.items()
+        }
+        found = sum(plane.bit_count() for plane in wrong.values())
+        count += found
+        if found and count <= MAX_MISMATCHES:
+            wrong_chunks.append((chunk, expected, wrong))
+    if count > MAX_MISMATCHES:
+        raise VerificationError(
+            f"{count} mismatches over {1 << len(facts)} assignments, "
+            f"more than the {MAX_MISMATCHES} a report lists"
+        )
+    mismatches: list[Mismatch] = []
+    for chunk, expected, wrong in wrong_chunks:
+        for j in planes.set_bits(reduce(or_, wrong.values())):
             word = chunk << planes.CHUNK_BITS | j
             assignment = tuple((fact, word >> i & 1) for fact, i in by_name)
-            mismatches.extend(
-                Mismatch(assignment, fact, values[fact] >> j & 1, actual[fact] >> j & 1)
-                for fact, plane in wrong.items()
-                if plane >> j & 1
-            )
+            for fact, plane in wrong.items():
+                if plane >> j & 1:
+                    bit = expected[fact] >> j & 1
+                    mismatches.append(Mismatch(assignment, fact, bit, bit ^ 1))
     return VerificationReport(1 << len(facts), tuple(mismatches))

@@ -45,6 +45,10 @@ class CompileError(QrbsError):
     """Lowering failed, e.g. the ancilla budget was exceeded."""
 
 
+class VerificationError(QrbsError):
+    """Exhaustive verification found more mismatches than a report lists."""
+
+
 class SimulationError(QrbsError):
     """Engine cap exceeded or measurement of a non-basis state requested."""
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from qrbs.categorical import ConstraintRule
 from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X
 from qrbs.rules import And, Atom, Implies, Not, Or, Rule, RuleNetwork
 
@@ -47,6 +48,13 @@ def random_expr(rng: random.Random, facts: list[str], depth: int, with_implies: 
     left = random_expr(rng, facts, depth - 1, with_implies)
     right = random_expr(rng, facts, depth - 1, with_implies)
     return {"and": And, "or": Or, "implies": Implies}[op](left, right)
+
+
+def random_constraints(rng: random.Random, names: list[str], count: int):
+    return tuple(
+        ConstraintRule(random_expr(rng, names, rng.randint(0, 3), with_implies=True))
+        for _ in range(count)
+    )
 
 
 def random_network(

@@ -19,7 +19,7 @@ from qrbs.categorical import (
     reduce_to_rlb,
 )
 from qrbs.errors import DslSyntaxError, NetworkError
-from qrbs.rules import And, Atom, Implies, Not, Or
+from qrbs.rules import And, Atom, Implies, Not, Or, evaluate_expr
 
 # The worked two-symptom/two-diagnosis knowledge base used across tests:
 #   C1: symptoms imply some diagnosis
@@ -255,6 +255,73 @@ class TestDiagnose:
                 assert all(isinstance(d, Presence) for d in verdict.diseases)
             else:
                 assert verdict.diseases == ()
+
+
+def _scalar_verdict(symptoms: Complex, base: LogicBase) -> tuple[tuple, tuple]:
+    """(compatible, diseases) by scanning every pair: the reference for ``diagnose``."""
+    compatible = tuple(d for s, d in base.pairs if s == symptoms)
+    diseases = []
+    for k in range(base.n_diagnoses if compatible else 0):
+        values = {d.bits[k] for d in compatible}
+        if values == {1}:
+            diseases.append(Presence.PRESENT)
+        elif values == {0}:
+            diseases.append(Presence.ABSENT)
+        else:
+            diseases.append(Presence.UNCERTAIN)
+    return compatible, tuple(diseases)
+
+
+def _assert_diagnoses_match(base: LogicBase, symptom_indices) -> None:
+    for s in symptom_indices:
+        observed = index_to_complex(s, base.n_symptoms)
+        verdict = diagnose(observed, base)
+        compatible, diseases = _scalar_verdict(observed, base)
+        assert verdict.symptoms == observed
+        assert verdict.compatible == compatible
+        assert verdict.diseases == diseases
+        assert verdict.consistent == bool(compatible)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32))
+def test_diagnose_equals_the_scalar_scan(ns, nd, seed):
+    from conftest import random_constraints
+
+    rng = random.Random(seed)
+    names = [f"s{i}" for i in range(1, ns + 1)] + [f"d{i}" for i in range(1, nd + 1)]
+    constraints = random_constraints(rng, names, rng.randint(0, 3))
+    elb = build_elb(ns, nd)
+    rlb = reduce_to_rlb(elb, constraints)
+    pairs = list(elb.pairs)
+    rng.shuffle(pairs)
+    thinned = LogicBase(ns, nd, pairs[: rng.randint(0, len(pairs))])
+    pairs = list(rlb.pairs)
+    rng.shuffle(pairs)
+    thinned_rlb = LogicBase(ns, nd, pairs[: rng.randint(0, len(pairs))])
+    for base in (elb, rlb, thinned, thinned_rlb, reduce_to_rlb(thinned, constraints)):
+        _assert_diagnoses_match(base, range(1 << ns))
+
+
+def test_twenty_attributes():
+    from conftest import random_constraints
+
+    ns = nd = 10
+    elb = build_elb(ns, nd)
+    assert len(elb) == 1 << 20
+    rng = random.Random(20)
+    names = [f"s{i}" for i in range(1, ns + 1)] + [f"d{i}" for i in range(1, nd + 1)]
+    _, _, any_symptom = parse_constraints("rule: any_symptom_implies_diagnosis\n").resolve(ns, nd)
+    constraints = any_symptom + random_constraints(rng, names, 2)
+    rlb = reduce_to_rlb(elb, constraints)
+    assert 0 < len(rlb) < len(elb)
+    labels = set(rlb.labels())
+    for _ in range(256):
+        s, d = rng.randrange(1 << ns), rng.randrange(1 << nd)
+        bits = index_to_complex(s, ns).bits + index_to_complex(d, nd).bits
+        satisfied = all(evaluate_expr(c.expr, dict(zip(names, bits))) for c in constraints)
+        assert (f"S{s}D{d}" in labels) == satisfied
+    _assert_diagnoses_match(rlb, [rng.randrange(1 << ns) for _ in range(8)])
 
 
 class TestConstraintParsing:

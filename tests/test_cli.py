@@ -1,8 +1,13 @@
 """Command-line behaviour: outputs, exit codes, file plumbing, determinism."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from qrbs.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 DEMO_RULES = "rule: A & B -> X\nrule: X | C -> Y\nrule: Y & (D | E) -> R\n"
 
@@ -133,6 +138,29 @@ class TestRlb:
         )
         assert code == 1
         assert "2 symptoms" in err
+
+
+class TestRlbFrozenOutput:
+    """``rlb`` output, byte for byte, as frozen in ``tests/data/rlb``."""
+
+    @pytest.mark.parametrize(
+        "stem, case",
+        [
+            ("worked_2x2", "01"),
+            ("worked_2x2", "10"),
+            ("seeded_4x4", "0000"),
+            ("seeded_4x4", "0110"),
+        ],
+    )
+    @pytest.mark.parametrize("form", ["txt", "json"])
+    def test_output_is_unchanged(self, capsys, stem, case, form):
+        constraints = DATA / f"{stem}.constraints"
+        flags = ["--json"] if form == "json" else []
+        code, out, _ = run_cli(
+            capsys, "rlb", "--constraints", str(constraints), "--case", case, *flags
+        )
+        assert code == 0
+        assert out == (DATA / "rlb" / f"{stem}.case{case}.{form}").read_text(encoding="utf-8")
 
 
 class TestCompileAndSimulate:

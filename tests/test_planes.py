@@ -7,12 +7,13 @@ references they are checked against here, mismatch order included.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_circuit, random_expr, random_network
-from qrbs import planes
-from qrbs.categorical import ConstraintRule, LogicBase, build_elb, reduce_to_rlb
+from conftest import random_circuit, random_constraints, random_network
+from qrbs import compiler, planes
+from qrbs.categorical import LogicBase, build_elb, reduce_to_rlb
 from qrbs.circuit import Circuit, Measure, X
 from qrbs.compiler import (
     CompiledCircuit,
@@ -20,6 +21,7 @@ from qrbs.compiler import (
     compile_network,
     verify_compilation,
 )
+from qrbs.errors import VerificationError
 from qrbs.rules import evaluate_expr, parse_rules
 from qrbs.simulator import run
 
@@ -93,6 +95,46 @@ class TestVerification:
         assert scalar.mismatches == report.mismatches
 
 
+class TestMismatchCap:
+    def test_a_wrong_output_on_every_word_is_refused_before_decoding(self, monkeypatch):
+        facts = [f"i{k}" for k in range(20)]
+        network = parse_rules(
+            f"rule: {' & '.join(facts)} -> Y\nrule: i0 | i19 -> Z\nrule: !i7 -> W\n"
+        )
+        compiled = compile_network(network)
+        gates = compiled.circuit.gates
+        measures = [i for i, gate in enumerate(gates) if isinstance(gate, Measure)]
+        z_qubit = compiled.output_map["Z"][0]
+        broken = Circuit(compiled.circuit.num_qubits, compiled.circuit.num_clbits)
+        broken.extend(gates[: measures[0]] + [X(z_qubit)] + gates[measures[0] :])
+        broken = CompiledCircuit(broken, compiled.input_map, compiled.output_map, 0)
+
+        def no_mismatch(*args):
+            raise AssertionError("a Mismatch was built")
+
+        monkeypatch.setattr(compiler, "Mismatch", no_mismatch)
+        with pytest.raises(VerificationError, match=f"{1 << 20} mismatches"):
+            verify_compilation(network, broken)
+
+    def test_the_cap_is_inclusive(self, monkeypatch):
+        network = parse_rules("rule: a & b -> Y\n")
+        compiled = compile_network(network)
+        broken = Circuit(compiled.circuit.num_qubits, compiled.circuit.num_clbits)
+        broken.append(X(compiled.input_map["a"]))
+        broken.extend(compiled.circuit.gates)
+        broken = CompiledCircuit(broken, compiled.input_map, compiled.output_map, 0)
+        report = verify_compilation(network, broken)  # Y wrong where b = 1
+        assert [dict(m.assignment) for m in report.mismatches] == [
+            {"a": 0, "b": 1},
+            {"a": 1, "b": 1},
+        ]
+        monkeypatch.setattr(compiler, "MAX_MISMATCHES", 2)
+        assert verify_compilation(network, broken) == report
+        monkeypatch.setattr(compiler, "MAX_MISMATCHES", 1)
+        with pytest.raises(VerificationError, match="2 mismatches over 4 assignments"):
+            verify_compilation(network, broken)
+
+
 class TestRun:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 9), st.integers(0, 30), SEEDS)
@@ -118,20 +160,13 @@ def _scalar_rlb(elb, constraints, names) -> tuple:
     )
 
 
-def _random_constraints(rng, names, count):
-    return tuple(
-        ConstraintRule(random_expr(rng, names, rng.randint(0, 3), with_implies=True))
-        for _ in range(count)
-    )
-
-
 class TestReduction:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), SEEDS)
     def test_reduction_equals_the_scalar_filter(self, ns, nd, seed):
         rng = random.Random(seed)
         names = [f"s{i}" for i in range(1, ns + 1)] + [f"d{i}" for i in range(1, nd + 1)]
-        constraints = _random_constraints(rng, names, rng.randint(0, 4))
+        constraints = random_constraints(rng, names, rng.randint(0, 4))
         elb = build_elb(ns, nd)
         assert reduce_to_rlb(elb, constraints).pairs == _scalar_rlb(elb, constraints, names)
 
@@ -144,7 +179,7 @@ class TestReduction:
     def test_more_than_one_chunk(self):
         ns, nd = 9, 8
         names = [f"s{i}" for i in range(1, ns + 1)] + [f"d{i}" for i in range(1, nd + 1)]
-        constraints = _random_constraints(random.Random(3), names, 3)
+        constraints = random_constraints(random.Random(3), names, 3)
         elb = build_elb(ns, nd)
         rlb = reduce_to_rlb(elb, constraints)
         assert rlb.pairs == _scalar_rlb(elb, constraints, names)
