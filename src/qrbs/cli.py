@@ -215,7 +215,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if isinstance(result.final_state, StateVector):
             amps = result.final_state.amplitudes
             final = {
-                format(i, f"0{circuit.num_qubits}b"): [amps[i].real, amps[i].imag]
+                format(i, f"0{circuit.num_qubits}b"): [float(amps[i].real), float(amps[i].imag)]
                 for i in range(len(amps))
                 if amps[i] != 0
             }

@@ -15,22 +15,30 @@ The dense engine has one kernel, used by both :func:`run` (once per
 maximal run of unitary gates between measurements) and :func:`apply_gate`
 (once per gate). It applies the run of gates as one permutation: for each
 block of 2^16 output indices it pulls the indices back through the gates
-in reverse with numpy integer bit operations, then gathers the amplitudes
-with ``np.take`` into a new array. The state is read and written once per
-run of gates rather than once per gate, and the block of indices stays in
-cache.
+in reverse with in-place numpy integer shifts, ANDs and XORs, then gathers
+the amplitudes with ``np.take`` into a new array. The state is read and
+written once per run of gates rather than once per gate, and the block of
+indices stays in cache. The blocks are independent, so the two halves of
+the output range are gathered on two threads when two CPUs are usable
+(numpy releases the interpreter lock in these loops).
+
+:func:`init_state` allocates complex64: a permutation circuit run from a
+basis state only ever holds the amplitudes 0 and 1, which complex64 holds
+exactly, at half the memory traffic of complex128. A caller-built state
+keeps its own dtype through :func:`apply_gate`.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
-from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X
+from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X, gate_qubits
 from .errors import SimulationError
 
 __all__ = [
@@ -45,9 +53,9 @@ __all__ = [
     "run",
 ]
 
-# 2^26 complex128 amplitudes is about 1 GiB, and run() holds two states
-# while it gathers one into the other (about 2 GiB at peak); larger needs
-# an explicit override.
+# 2^26 complex64 amplitudes is 512 MiB, and run() holds two states while it
+# gathers one into the other (1 GiB at peak); larger needs an explicit
+# override.
 DEFAULT_MAX_QUBITS = 26
 
 # Output indices per block of the fused gather: 2^16 indices (256 KiB as
@@ -68,25 +76,73 @@ def _gate_masks(gate: Gate) -> tuple[int, int]:
     raise SimulationError(f"not a unitary gate: {gate!r}")
 
 
+def _shift(index: np.ndarray, by: int, out: np.ndarray) -> None:
+    if by >= 0:
+        np.left_shift(index, by, out=out)
+    else:
+        np.right_shift(index, -by, out=out)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
     """Apply a run of unitary gates as one gather; returns a new array.
 
     X, CNOT and CCNOT are each their own inverse, so output amplitude
     ``i`` is input amplitude ``g1(g2(...gk(i)))``: the index is pulled back
-    through the gates from last to first. Masks are combined in the index
-    dtype (int32 below 32 qubits) so no operation widens the block.
+    through the gates from last to first. A gate flips the target bit of
+    the index where its controls are set: the controls are shifted onto
+    the target bit, ANDed with each other and the target mask, and XORed
+    in. Every operation writes into preallocated index-dtype buffers
+    (int32 below 32 qubits), so the pull-back allocates nothing per block.
     """
     n = amps.size.bit_length() - 1
     dtype = np.int32 if n < 32 else np.int64
-    masks = [(dtype(c), dtype(t)) for c, t in map(_gate_masks, reversed(gates))]
+    steps = []  # (target mask, shifts that move each control bit onto the target)
+    for gate in reversed(gates):
+        *controls, target = gate_qubits(gate)
+        steps.append((dtype(1 << target), [target - control for control in controls]))
     block = 1 << min(_BLOCK_BITS, n)
-    offsets = np.arange(block, dtype=dtype)
+    blocks = amps.size // block
     out = np.empty_like(amps)
-    for start in range(0, amps.size, block):
-        index = offsets | dtype(start)
-        for control_mask, target_mask in masks:
-            index ^= ((index & control_mask) == control_mask) * target_mask
-        np.take(amps, index, out=out[start : start + block])
+    errors: list[BaseException] = []
+
+    def gather(first: int, last: int) -> None:
+        try:
+            offsets = np.arange(block, dtype=dtype)
+            index, flips, other = (np.empty(block, dtype) for _ in range(3))
+            for start in range(first * block, last * block, block):
+                np.bitwise_or(offsets, dtype(start), out=index)
+                for mask, shifts in steps:
+                    if not shifts:
+                        index ^= mask
+                        continue
+                    _shift(index, shifts[0], flips)
+                    for by in shifts[1:]:
+                        _shift(index, by, other)
+                        flips &= other
+                    flips &= mask
+                    index ^= flips
+                np.take(amps, index, out=out[start : start + block])
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    threads = min(2, _usable_cpus(), blocks)
+    bounds = [blocks * k // threads for k in range(threads + 1)]
+    helpers = [
+        threading.Thread(target=gather, args=span) for span in zip(bounds[1:-1], bounds[2:])
+    ]
+    for helper in helpers:
+        helper.start()
+    gather(bounds[0], bounds[1])
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -111,12 +167,16 @@ class StateVector:
         """The index of the single occupied basis state.
 
         Raises :class:`SimulationError` if the amplitude weight is spread
-        over more than one basis state (within ``tol``).
+        over more than one basis state (within ``tol``). A complex64 state
+        is scanned as one ``uint64`` word per amplitude; a ``-0.0`` part
+        makes a word nonzero, so the candidates are filtered by magnitude.
         """
-        nonzero = np.flatnonzero(self.amplitudes)
-        if nonzero.size == 0:
+        amps = self.amplitudes
+        words = amps.view(np.uint64) if amps.dtype == np.complex64 else amps
+        nonzero = np.flatnonzero(words)
+        magnitudes = np.abs(amps[nonzero])
+        if not magnitudes.any():
             raise SimulationError("zero state has no basis index")
-        magnitudes = np.abs(self.amplitudes[nonzero])
         top = int(np.argmax(magnitudes))
         rest = np.delete(magnitudes, top)
         if abs(magnitudes[top] - 1.0) > tol or (rest.size and float(rest.max()) > tol):
@@ -138,19 +198,19 @@ def init_state(
         raise ValueError("num_qubits must be non-negative")
     if not 0 <= basis < 1 << num_qubits:
         raise ValueError(f"basis index {basis} out of range for {num_qubits} qubits")
-    _check_memory(num_qubits)
-    amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
+    _check_memory(num_qubits, np.complex64)
+    amplitudes = np.zeros(1 << num_qubits, dtype=np.complex64)
     amplitudes[basis] = 1.0
     return StateVector(num_qubits, amplitudes)
 
 
-def _check_memory(num_qubits: int) -> None:
+def _check_memory(num_qubits: int, dtype: np.dtype | type) -> None:
     """Fail unless two dense states, the gather's peak in :func:`run`, fit in RAM."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # the platform does not report physical memory
-    state_bytes = np.dtype(np.complex128).itemsize << num_qubits
+    state_bytes = np.dtype(dtype).itemsize << num_qubits
     if 2 * state_bytes > physical:
         raise SimulationError(
             f"{num_qubits} qubits need two dense states of {state_bytes / 2**30:.1f} GiB, "

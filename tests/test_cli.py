@@ -221,6 +221,16 @@ class TestCompileAndSimulate:
         assert out.splitlines()[0] == "1"
         assert "|01>" in out
 
+    def test_simulate_dense_state_dump_as_json(self, capsys, tmp_path):
+        qasm = tmp_path / "tiny.qasm"
+        qasm.write_text('OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nx q[0];\nmeasure q[0] -> c[0];\n')
+        code, out, err = run_cli(
+            capsys, "simulate", "--circuit", str(qasm), "--input", "00", "--dump-state",
+            "--engine", "statevector", "--json",
+        )
+        assert code == 0, err
+        assert json.loads(out) == {"bits": "1", "final_state": {"01": [1.0, 0.0]}}
+
     def test_simulate_dump_state_width_limited(self, capsys, tmp_path):
         qasm = tmp_path / "wide.qasm"
         qasm.write_text("OPENQASM 2.0;\nqreg q[9];\n")

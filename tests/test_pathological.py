@@ -8,10 +8,10 @@ import pytest
 
 from qrbs import simulator
 from qrbs.categorical import parse_constraints
-from qrbs.circuit import MAX_REGISTER, import_qasm
+from qrbs.circuit import MAX_REGISTER, Circuit, Measure, X, import_qasm
 from qrbs.cli import main
 from qrbs.compiler import compile_network, verify_compilation
-from qrbs.errors import DslSyntaxError, QasmError
+from qrbs.errors import DslSyntaxError, QasmError, SimulationError
 from qrbs.rules import MAX_DEPTH, evaluate_network, format_network, parse_rules
 
 
@@ -109,6 +109,24 @@ def test_dense_run_beyond_physical_memory_fails_before_allocating(
     )
     assert code == 1
     assert err.startswith("error:") and "GiB" in err
+
+
+def test_memory_preflight_sizes_complex64_states(monkeypatch):
+    # Physical memory of 24 MiB lies between two complex64 states (16 MiB)
+    # and two complex128 states (32 MiB) at 20 qubits.
+    n, page = 20, 4096
+    pages = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 24 * 2**20 // page}
+    monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
+    assert 2 * 8 << n < pages["SC_PHYS_PAGES"] * page < 2 * 16 << n
+    circuit = Circuit(n, 1).append(X(n - 1)).append(Measure(n - 1, 0))
+    assert simulator.run(circuit, engine="statevector").bits == (1,)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the memory preflight")
+
+    monkeypatch.setattr(simulator.np, "zeros", refuse)
+    with pytest.raises(SimulationError, match="GiB"):
+        simulator.run(Circuit(n + 1), engine="statevector")
 
 
 def qasm(qubits: int, clbits: int) -> str:

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit
+from qrbs import circuit as circuit_module
+from qrbs import planes, simulator
 from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, as_permutation, gate_qubits
 from qrbs.errors import SimulationError
 from qrbs.simulator import (
@@ -96,6 +98,31 @@ class TestBasisIndex:
     def test_zero_state_rejected(self):
         with pytest.raises(SimulationError, match="zero state"):
             StateVector(2, np.zeros(4, dtype=np.complex128)).basis_index()
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_negative_zeros_are_not_occupied(self, dtype):
+        amps = np.zeros(64, dtype=dtype)
+        amps[[1, 7, 40, 63]] = complex(-0.0, 0.0)
+        amps[[2, 50]] = complex(0.0, -0.0)
+        amps[9] = complex(-0.0, -0.0)
+        amps[41] = 1
+        assert StateVector(6, amps).basis_index() == 41
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_signed_zero_state_rejected(self, dtype):
+        amps = np.zeros(64, dtype=dtype)
+        amps[::3] = complex(-0.0, 0.0)
+        amps[1::5] = complex(-0.0, -0.0)
+        with pytest.raises(SimulationError, match="zero state"):
+            StateVector(6, amps).basis_index()
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_spread_state_rejected_for_each_dtype(self, dtype):
+        amps = np.zeros(64, dtype=dtype)
+        amps[[3, 60]] = 1 / math.sqrt(2)
+        amps[5] = complex(-0.0, 0.0)
+        with pytest.raises(SimulationError, match="not a computational basis state"):
+            StateVector(6, amps).basis_index()
 
 
 class TestRun:
@@ -254,6 +281,7 @@ class TestFusedSegmentKernel:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 18), st.integers(0, 40))
     @example(seed=7, num_qubits=18, num_gates=40)
+    @example(seed=12, num_qubits=17, num_gates=40)  # two blocks, one per thread
     def test_matches_permutation_oracle_on_random_amplitudes(self, seed, num_qubits, num_gates):
         rng = random.Random(seed)
         circuit = interleaved_circuit(rng, num_qubits, num_gates)
@@ -271,6 +299,7 @@ class TestFusedSegmentKernel:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 7))
     @example(seed=30, num_qubits=17)  # CCNOT(9, 0, 16): pairs across two 2^16 blocks
+    @example(seed=4, num_qubits=18)  # four blocks, two per thread
     def test_apply_gate_matches_permutation_oracle(self, seed, num_qubits):
         rng = random.Random(seed)
         gate = random_circuit(rng, num_qubits, 1, with_measures=False).gates[0]
@@ -278,10 +307,62 @@ class TestFusedSegmentKernel:
         values = values[0] + 1j * values[1]
         state = StateVector(num_qubits, values.copy())
         expected = np.empty_like(values)
-        expected[as_permutation(Circuit(num_qubits).append(gate), max_qubits=17)] = values
+        expected[as_permutation(Circuit(num_qubits).append(gate), max_qubits=18)] = values
         assert np.array_equal(apply_gate(state, gate).amplitudes, expected)
         assert np.array_equal(state.amplitudes, values)
 
     def test_apply_gate_single_qubit_flip(self):
         state = StateVector(1, np.array([1 + 0j, 2 + 0j]))
         assert list(apply_gate(state, X(0)).amplitudes) == [2 + 0j, 1 + 0j]
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_one_thread_and_two_threads_gather_the_same_bytes(self, monkeypatch, dtype):
+        rng = random.Random(19)
+        circuit = random_circuit(rng, 18, 60, with_measures=False)
+        values = np.random.default_rng(19).standard_normal((2, 1 << 18))
+        values = (values[0] + 1j * values[1]).astype(dtype)
+        expected = np.empty_like(values)
+        expected[as_permutation(circuit, max_qubits=18)] = values
+        started = []
+
+        class CountedThread(simulator.threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(simulator.threading, "Thread", CountedThread)
+        gathered = {}
+        for cpus in (2, 1):
+            usable = set(range(cpus))
+            monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: usable, raising=False)
+            monkeypatch.setattr(simulator.os, "cpu_count", lambda: len(usable))
+            started.clear()
+            gathered[cpus] = _apply_segment(values, circuit.gates)
+            assert len(started) == cpus - 1  # the calling thread gathers one half itself
+        assert gathered[1].dtype == gathered[2].dtype == dtype
+        assert gathered[1].tobytes() == gathered[2].tobytes() == expected.tobytes()
+
+    def test_dense_run_holds_complex64(self):
+        circuit = Circuit(3, 1).append(X(0)).append(CNOT(0, 2)).append(Measure(2, 0))
+        assert run(circuit, engine="statevector").final_state.amplitudes.dtype == np.complex64
+
+    def test_apply_gate_keeps_complex128(self):
+        state = StateVector(2, np.array([1, 0, 0, 0], dtype=np.complex128))
+        assert apply_gate(state, CNOT(1, 0)).amplitudes.dtype == np.complex128
+
+    def test_dense_engine_needs_no_other_oracle(self, monkeypatch):
+        rng = random.Random(41)
+        circuit = interleaved_circuit(rng, 18, 50)
+        initial = rng.randrange(1 << 18)
+        fast = run(circuit, initial, "fast")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense engine used another oracle")
+
+        monkeypatch.setattr(simulator, "_permute_index", refuse)
+        monkeypatch.setattr(circuit_module, "as_permutation", refuse)
+        for name in ("chunks", "input_planes", "evaluate", "run", "set_bits"):
+            monkeypatch.setattr(planes, name, refuse)
+        dense = run(circuit, initial, "statevector")
+        assert dense.bits == fast.bits
+        assert dense.final_state.basis_index() == fast.final_state
