@@ -15,12 +15,20 @@ The dense engine has one kernel, used by both :func:`run` (once per
 maximal run of unitary gates between measurements) and :func:`apply_gate`
 (once per gate). It applies the run of gates as one permutation: for each
 block of 2^16 output indices it pulls the indices back through the gates
-in reverse with in-place numpy integer shifts, ANDs and XORs, then gathers
-the amplitudes with ``np.take`` into a new array. The state is read and
-written once per run of gates rather than once per gate, and the block of
-indices stays in cache. The blocks are independent, so the two halves of
-the output range are gathered on two threads when two CPUs are usable
-(numpy releases the interpreter lock in these loops).
+in reverse, then gathers the amplitudes with ``np.take`` into a new
+array. The pull-back is planned once per run, before the blocks: a gate
+whose controls no later gate writes flips the index by a function of the
+output index alone, so such gates are folded into a few precomputed
+tables, one per mask of controls above the block bits, and a block's
+indices are its offsets XOR its start XOR the tables its start selects.
+Gates from the first one whose control a later gate writes on flip the
+index one by one. Compiled circuits emit gates in dependency order, so
+their runs are tables only. The indices are ``np.intp``, which
+``np.take`` uses without converting. The state is read and written once
+per run of gates rather than once per gate, and the block of indices
+stays in cache. The blocks are independent, so the two halves of the
+output range are gathered on two threads when two CPUs are usable (numpy
+releases the interpreter lock in these loops).
 
 :func:`init_state` allocates complex64: a permutation circuit run from a
 basis state only ever holds the amplitudes 0 and 1, which complex64 holds
@@ -38,7 +46,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X, gate_qubits
+from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X
 from .errors import SimulationError
 
 __all__ = [
@@ -58,8 +66,8 @@ __all__ = [
 # override.
 DEFAULT_MAX_QUBITS = 26
 
-# Output indices per block of the fused gather: 2^16 indices (256 KiB as
-# int32) stay in cache while every gate of a run is pulled back through them.
+# Output indices per block of the fused gather: 2^16 indices (512 KiB as
+# 64-bit np.intp) stay in cache while a run's tables are XORed into them.
 _BLOCK_BITS = 16
 
 BasisIndex = int
@@ -76,17 +84,55 @@ def _gate_masks(gate: Gate) -> tuple[int, int]:
     raise SimulationError(f"not a unitary gate: {gate!r}")
 
 
-def _shift(index: np.ndarray, by: int, out: np.ndarray) -> None:
-    if by >= 0:
-        np.left_shift(index, by, out=out)
-    else:
-        np.right_shift(index, -by, out=out)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _flip(index: np.ndarray, control_mask: int, target_mask: int, flips: np.ndarray) -> None:
+    """XOR ``target_mask`` into ``index`` where every bit of ``control_mask`` is set."""
+    if not control_mask:
+        index ^= target_mask
+        return
+    np.bitwise_and(index, control_mask, out=flips)
+    np.equal(flips, control_mask, out=flips)
+    flips *= target_mask
+    index ^= flips
+
+
+def _plan(
+    gates: Sequence[Gate], block_bits: int
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], list[tuple[int, int]]]:
+    """Plan the pull-back of a run of gates over blocks of ``2^block_bits`` indices.
+
+    The gates are walked last first. A gate is static when no gate pulled
+    back before it wrote one of its controls: its flip then depends only on
+    the output index, as ``(low controls set) << target`` within a block
+    times ``start & high == high`` for the block. Static gates with the same
+    high-control mask share one table, the XOR of their low-bit flips.
+    Returns ``(base, tables, steps)``: ``base`` is the block offsets XOR the
+    table of the gates with no high control, ``tables`` pairs each other
+    high-control mask with its table, and ``steps`` holds ``(control mask,
+    target mask)`` for every gate from the first non-static one on, applied
+    one by one after the tables.
+    """
+    offsets = np.arange(1 << block_bits, dtype=np.intp)
+    low = (1 << block_bits) - 1
+    tables: dict[int, np.ndarray] = {0: offsets.copy()}
+    steps: list[tuple[int, int]] = []
+    written = 0  # targets of the static gates planned so far
+    for gate in reversed(gates):
+        control_mask, target_mask = _gate_masks(gate)
+        if steps or control_mask & written:
+            steps.append((control_mask, target_mask))
+            continue
+        written |= target_mask
+        low_controls = control_mask & low
+        table = tables.setdefault(control_mask & ~low, np.zeros_like(offsets))
+        table ^= np.where(offsets & low_controls == low_controls, target_mask, 0)
+    base = tables.pop(0)
+    return base, list(tables.items()), steps
 
 
 def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
@@ -94,39 +140,31 @@ def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
 
     X, CNOT and CCNOT are each their own inverse, so output amplitude
     ``i`` is input amplitude ``g1(g2(...gk(i)))``: the index is pulled back
-    through the gates from last to first. A gate flips the target bit of
-    the index where its controls are set: the controls are shifted onto
-    the target bit, ANDed with each other and the target mask, and XORed
-    in. Every operation writes into preallocated index-dtype buffers
-    (int32 below 32 qubits), so the pull-back allocates nothing per block.
+    through the gates from last to first. :func:`_plan` folds the gates
+    whose flips depend only on ``i`` into per-block tables, so a block's
+    input indices are its offsets XOR its start XOR each table whose
+    high-control mask the start satisfies; any remaining gates flip the
+    index one by one. The indices are ``np.intp``, the index type
+    ``np.take`` gathers with, and live in preallocated per-thread buffers.
     """
     n = amps.size.bit_length() - 1
-    dtype = np.int32 if n < 32 else np.int64
-    steps = []  # (target mask, shifts that move each control bit onto the target)
-    for gate in reversed(gates):
-        *controls, target = gate_qubits(gate)
-        steps.append((dtype(1 << target), [target - control for control in controls]))
-    block = 1 << min(_BLOCK_BITS, n)
+    block_bits = min(_BLOCK_BITS, n)
+    base, tables, steps = _plan(gates, block_bits)
+    block = 1 << block_bits
     blocks = amps.size // block
     out = np.empty_like(amps)
     errors: list[BaseException] = []
 
     def gather(first: int, last: int) -> None:
         try:
-            offsets = np.arange(block, dtype=dtype)
-            index, flips, other = (np.empty(block, dtype) for _ in range(3))
+            index, flips = np.empty(block, np.intp), np.empty(block, np.intp)
             for start in range(first * block, last * block, block):
-                np.bitwise_or(offsets, dtype(start), out=index)
-                for mask, shifts in steps:
-                    if not shifts:
-                        index ^= mask
-                        continue
-                    _shift(index, shifts[0], flips)
-                    for by in shifts[1:]:
-                        _shift(index, by, other)
-                        flips &= other
-                    flips &= mask
-                    index ^= flips
+                np.bitwise_xor(base, start, out=index)
+                for high, table in tables:
+                    if start & high == high:
+                        index ^= table
+                for control_mask, target_mask in steps:
+                    _flip(index, control_mask, target_mask, flips)
                 np.take(amps, index, out=out[start : start + block])
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
@@ -170,9 +208,16 @@ class StateVector:
         over more than one basis state (within ``tol``). A complex64 state
         is scanned as one ``uint64`` word per amplitude; a ``-0.0`` part
         makes a word nonzero, so the candidates are filtered by magnitude.
+        When exactly one word is nonzero it is the largest, so ``argmax``
+        finds it without listing the nonzero words; any other state takes
+        the full scan.
         """
         amps = self.amplitudes
         words = amps.view(np.uint64) if amps.dtype == np.complex64 else amps
+        if words.dtype == np.uint64 and np.count_nonzero(words) == 1:
+            top = int(np.argmax(words))
+            if abs(abs(amps[top]) - 1.0) <= tol:
+                return top
         nonzero = np.flatnonzero(words)
         magnitudes = np.abs(amps[nonzero])
         if not magnitudes.any():

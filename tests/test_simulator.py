@@ -13,7 +13,9 @@ from conftest import random_circuit
 from qrbs import circuit as circuit_module
 from qrbs import planes, simulator
 from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, as_permutation, gate_qubits
+from qrbs.compiler import CompileOptions
 from qrbs.errors import SimulationError
+from qrbs.idc import build_idc_circuit
 from qrbs.simulator import (
     RunResult,
     StateVector,
@@ -123,6 +125,50 @@ class TestBasisIndex:
         amps[5] = complex(-0.0, 0.0)
         with pytest.raises(SimulationError, match="not a computational basis state"):
             StateVector(6, amps).basis_index()
+
+    @staticmethod
+    def full_scan(amps: np.ndarray, tol: float = 1e-9) -> int:
+        """The scan over every nonzero word that the one-word test falls back to."""
+        words = amps.view(np.uint64) if amps.dtype == np.complex64 else amps
+        nonzero = np.flatnonzero(words)
+        magnitudes = np.abs(amps[nonzero])
+        if not magnitudes.any():
+            raise SimulationError("zero state has no basis index")
+        top = int(np.argmax(magnitudes))
+        rest = np.delete(magnitudes, top)
+        if abs(magnitudes[top] - 1.0) > tol or (rest.size and float(rest.max()) > tol):
+            raise SimulationError("state is not a computational basis state")
+        return int(nonzero[top])
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize(
+        "entries, tol",
+        [
+            ({37: 1}, 1e-9),  # one-hot
+            ({0: -1}, 1e-9),
+            ({63: 1j}, 1e-9),
+            ({12: complex(-0.0, 1.0)}, 1e-9),  # a -0.0 part inside the occupied word
+            ({20: complex(0.6, -0.8)}, 1e-6),
+            ({20: 1.001}, 1e-9),  # one word, magnitude off by more than tol
+            ({20: 0.99}, 0.05),  # ... but within a looser tol
+            ({8: complex(-0.0, 0.0)}, 1e-9),  # the only nonzero word is a signed zero
+            ({8: complex(-0.0, -0.0), 9: 1}, 1e-9),
+            ({3: 1, 4: 1}, 1e-9),  # two nonzero words
+            ({3: 1, 4: 1e-12}, 1e-9),
+            ({3: 0.5, 4: 0.5}, 1e-9),
+        ],
+    )
+    def test_matches_the_full_scan(self, dtype, entries, tol):
+        amps = np.zeros(64, dtype=dtype)
+        for index, value in entries.items():
+            amps[index] = value
+        try:
+            expected = self.full_scan(amps, tol)
+        except SimulationError as exc:
+            with pytest.raises(SimulationError, match=str(exc)):
+                StateVector(6, amps).basis_index(tol)
+        else:
+            assert StateVector(6, amps).basis_index(tol) == expected
 
 
 class TestRun:
@@ -366,3 +412,127 @@ class TestFusedSegmentKernel:
         dense = run(circuit, initial, "statevector")
         assert dense.bits == fast.bits
         assert dense.final_state.basis_index() == fast.final_state
+
+
+def dependency_ordered_gates(rng: random.Random, num_qubits: int, num_gates: int) -> list:
+    """Random gates in the order a compiler emits them: no later gate writes a control.
+
+    Each qubit is drawn from below or from above bit 16 with even odds, so
+    controls and targets fall on both sides of the 2^16 block boundary.
+    """
+
+    def draw(taken: set) -> int:
+        while True:
+            if num_qubits > 16 and rng.random() < 0.5:
+                qubit = rng.randrange(16, num_qubits)
+            else:
+                qubit = rng.randrange(min(16, num_qubits))
+            if qubit not in taken:
+                return qubit
+
+    gates = []
+    written = set()  # targets of the gates after the one being drawn
+    for _ in range(num_gates):  # drawn last gate first
+        target = draw(set())
+        taken = written | {target}
+        controls = []
+        for _ in range(rng.randint(0, min(2, num_qubits - len(taken)))):
+            controls.append(draw(taken))
+            taken.add(controls[-1])
+        gates.append((X, CNOT, CCNOT)[len(controls)](*controls, target))
+        written.add(target)
+    return gates[::-1]
+
+
+def high_control_masks(gates) -> set:
+    """The distinct nonzero masks of each gate's controls at or above the block bits."""
+    masks = {
+        sum(1 << qubit for qubit in gate_qubits(gate)[:-1] if qubit >= simulator._BLOCK_BITS)
+        for gate in gates
+    }
+    return masks - {0}
+
+
+def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
+    values = np.random.default_rng(num_qubits).standard_normal((2, 1 << num_qubits))
+    values = (values[0] + 1j * values[1]).astype(np.complex64)
+    expected = np.empty_like(values)
+    circuit = Circuit(num_qubits).extend(gates)
+    expected[as_permutation(circuit, max_qubits=num_qubits)] = values
+    assert np.array_equal(_apply_segment(values, gates), expected)
+
+
+def plan(gates, num_qubits: int):
+    return simulator._plan(gates, min(simulator._BLOCK_BITS, num_qubits))
+
+
+class TestPlannedPullBack:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(15, 20), st.integers(1, 40))
+    @example(seed=1, num_qubits=20, num_gates=40)
+    @example(seed=2, num_qubits=17, num_gates=40)
+    def test_dependency_ordered_runs_are_all_tables(self, seed, num_qubits, num_gates):
+        gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
+        _, tables, steps = plan(gates, num_qubits)
+        assert steps == []
+        assert len(tables) <= len(high_control_masks(gates))
+        assert_gathers_like_the_oracle(num_qubits, gates)
+
+    def test_static_tail_after_a_swap_head(self):
+        swap = [CNOT(4, 17), CNOT(17, 4), CNOT(4, 17)]
+        tail = [CNOT(0, 16), CNOT(17, 16), CCNOT(0, 17, 16), CNOT(16, 18), CNOT(4, 18)]
+        tail.append(CCNOT(16, 4, 18))
+        gates = swap + tail
+        _, tables, steps = plan(gates, 19)
+        # the tail and the swap's last CNOT are tables; its first two CNOTs read 17 after it
+        assert [high for high, _ in tables] == [1 << 16, 1 << 17]
+        assert steps == [(1 << 17, 1 << 4), (1 << 4, 1 << 17)]
+        assert_gathers_like_the_oracle(19, gates)
+
+    def test_run_that_turns_non_static_at_once(self):
+        gates = [CCNOT(2, 16, 17), CNOT(17, 2), CNOT(2, 16), CCNOT(16, 17, 3), X(17)]
+        base, tables, steps = plan(gates, 18)
+        assert tables == [] and len(steps) == 4
+        assert np.array_equal(base, np.arange(1 << 16) ^ 1 << 17)
+        assert_gathers_like_the_oracle(18, gates)
+
+    @pytest.mark.parametrize(
+        "num_qubits, gate",
+        [
+            (17, X(16)),
+            (17, CNOT(16, 2)),
+            (17, CNOT(2, 16)),
+            (18, CNOT(17, 16)),
+            (18, CCNOT(16, 3, 17)),
+            (18, CCNOT(16, 17, 0)),
+            (18, CCNOT(1, 15, 17)),
+        ],
+    )
+    def test_apply_gate_across_the_block_boundary(self, num_qubits, gate):
+        values = np.random.default_rng(7).standard_normal((2, 1 << num_qubits))
+        values = values[0] + 1j * values[1]
+        expected = np.empty_like(values)
+        expected[as_permutation(Circuit(num_qubits).append(gate), max_qubits=18)] = values
+        state = StateVector(num_qubits, values.copy())
+        assert np.array_equal(apply_gate(state, gate).amplitudes, expected)
+
+    def test_staging_circuits_plan_to_tables_only(self):
+        unshared = CompileOptions(share_subexpressions=False, ancilla_budget=10)
+        for options in (CompileOptions(), unshared):
+            circuit = build_idc_circuit(options).circuit
+            runs = [
+                list(gates)
+                for measuring, gates in groupby(circuit.gates, key=lambda g: isinstance(g, Measure))
+                if not measuring
+            ]
+            assert runs
+            for gates in runs:
+                assert plan(gates, circuit.num_qubits)[2] == []
+        assert circuit.num_qubits == 25
+
+    def test_tables_are_bounded_by_the_high_control_masks(self):
+        gates = [CNOT(5, 17), CNOT(17, 5)] * 1000
+        _, tables, steps = plan(gates, 18)
+        assert len(tables) <= len(high_control_masks(gates)) == 1
+        assert len(steps) == len(gates) - 1
+        assert_gathers_like_the_oracle(18, gates)
