@@ -12,23 +12,31 @@ significant); :attr:`RunResult.bitstring` prints classical bits most
 significant first (c-high to c-low), matching the index convention.
 
 The dense engine has one kernel, used by both :func:`run` (once per
-maximal run of unitary gates between measurements) and :func:`apply_gate`
-(once per gate). It applies the run of gates as one permutation: for each
-block of 2^16 output indices it pulls the indices back through the gates
-in reverse, then gathers the amplitudes with ``np.take`` into a new
-array. The pull-back is planned once per run, before the blocks: a gate
-whose controls no later gate writes flips the index by a function of the
-output index alone, so such gates are folded into a few precomputed
-tables, one per mask of controls above the block bits, and a block's
-indices are its offsets XOR its start XOR the tables its start selects.
-Gates from the first one whose control a later gate writes on flip the
-index one by one. Compiled circuits emit gates in dependency order, so
-their runs are tables only. The indices are ``np.intp``, which
-``np.take`` uses without converting. The state is read and written once
-per run of gates rather than once per gate, and the block of indices
-stays in cache. The blocks are independent, so the two halves of the
-output range are gathered on two threads when two CPUs are usable (numpy
-releases the interpreter lock in these loops).
+maximal run of unitary gates between measurements) and
+:func:`apply_gate` (once per gate). It applies the run of gates as one
+permutation: for each block of 2^16 output indices it pulls the indices
+back through the gates in reverse, then gathers the amplitudes with
+``np.take`` into a new array. The pull-back is planned once per run,
+before the blocks: a gate whose controls no later gate writes flips the
+index by a function of the output index alone, so such gates are folded
+into a few precomputed tables, one per mask of controls above the block
+bits, and a block's indices are its offsets XOR its start XOR the tables
+its start selects. Gates from the first one whose control a later gate
+writes on flip the index one by one. Compiled circuits emit gates in
+dependency order, so their runs are tables only. The indices are
+``np.intp``, which ``np.take`` uses without converting. Every index is
+an XOR of offsets, block start and gate masks, so it is in range once
+every gate's qubits are: the kernel checks that once per call, and the
+take then runs in ``mode="wrap"``, which writes straight into the output
+(the default ``mode="raise"`` gathers each block into a buffer and
+copies it). Right after a block is gathered, while it is still in cache,
+the kernel notes whether it holds a nonzero word, so :func:`run` finds
+the measured basis state in the occupied blocks alone. The state is read
+and written in one pass per run of gates, with no second pass to
+measure, and the block of indices stays in cache. The blocks are
+independent, so the two halves of the output range are gathered on two
+threads when two CPUs are usable (numpy releases the interpreter lock in
+these loops).
 
 :func:`init_state` allocates complex64: a permutation circuit run from a
 basis state only ever holds the amplitudes 0 and 1, which complex64 holds
@@ -135,9 +143,11 @@ def _plan(
     return base, list(tables.items()), steps
 
 
-def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
-    """Apply a run of unitary gates as one gather; returns a new array.
+def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a run of unitary gates as one gather.
 
+    Returns a new array and one flag per block of output indices, set when
+    the block holds a nonzero byte, which :func:`_occupied_index` reads.
     X, CNOT and CCNOT are each their own inverse, so output amplitude
     ``i`` is input amplitude ``g1(g2(...gk(i)))``: the index is pulled back
     through the gates from last to first. :func:`_plan` folds the gates
@@ -146,26 +156,38 @@ def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
     high-control mask the start satisfies; any remaining gates flip the
     index one by one. The indices are ``np.intp``, the index type
     ``np.take`` gathers with, and live in preallocated per-thread buffers.
+    Raises :class:`SimulationError` before any gather if a gate names a
+    qubit outside the state: only then is every index below ``amps.size``,
+    which the unbuffered ``mode="wrap"`` take relies on. A block's flag is
+    taken right after its take, while the block is still in cache.
     """
     n = amps.size.bit_length() - 1
+    for gate in gates:
+        control_mask, target_mask = _gate_masks(gate)
+        if (control_mask | target_mask) >> n:
+            raise SimulationError(f"gate {gate!r} out of range for {n} qubits")
     block_bits = min(_BLOCK_BITS, n)
     base, tables, steps = _plan(gates, block_bits)
     block = 1 << block_bits
     blocks = amps.size // block
     out = np.empty_like(amps)
+    occupied = np.zeros(blocks, dtype=bool)
     errors: list[BaseException] = []
 
     def gather(first: int, last: int) -> None:
         try:
             index, flips = np.empty(block, np.intp), np.empty(block, np.intp)
-            for start in range(first * block, last * block, block):
+            for k in range(first, last):
+                start = k * block
                 np.bitwise_xor(base, start, out=index)
                 for high, table in tables:
                     if start & high == high:
                         index ^= table
                 for control_mask, target_mask in steps:
                     _flip(index, control_mask, target_mask, flips)
-                np.take(amps, index, out=out[start : start + block])
+                gathered = out[start : start + block]
+                np.take(amps, index, out=gathered, mode="wrap")
+                occupied[k] = gathered.view(np.uint8).max() > 0
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -181,7 +203,7 @@ def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
         helper.join()
     if errors:
         raise errors[0]
-    return out
+    return out, occupied
 
 
 def _permute_index(index: int, gate: Gate) -> int:
@@ -213,20 +235,42 @@ class StateVector:
         the full scan.
         """
         amps = self.amplitudes
-        words = amps.view(np.uint64) if amps.dtype == np.complex64 else amps
+        words = _words(amps)
         if words.dtype == np.uint64 and np.count_nonzero(words) == 1:
             top = int(np.argmax(words))
             if abs(abs(amps[top]) - 1.0) <= tol:
                 return top
-        nonzero = np.flatnonzero(words)
-        magnitudes = np.abs(amps[nonzero])
-        if not magnitudes.any():
-            raise SimulationError("zero state has no basis index")
-        top = int(np.argmax(magnitudes))
-        rest = np.delete(magnitudes, top)
-        if abs(magnitudes[top] - 1.0) > tol or (rest.size and float(rest.max()) > tol):
-            raise SimulationError("state is not a computational basis state")
-        return int(nonzero[top])
+        return _locate(amps, np.flatnonzero(words), tol)
+
+
+def _words(amps: np.ndarray) -> np.ndarray:
+    """What the scans look at: a complex64 amplitude as one ``uint64`` word, else as is."""
+    return amps.view(np.uint64) if amps.dtype == np.complex64 else amps
+
+
+def _locate(amps: np.ndarray, nonzero: np.ndarray, tol: float) -> BasisIndex:
+    """The basis index, given every nonzero word's index in ascending order."""
+    magnitudes = np.abs(amps[nonzero])
+    if not magnitudes.any():
+        raise SimulationError("zero state has no basis index")
+    top = int(np.argmax(magnitudes))
+    rest = np.delete(magnitudes, top)
+    if abs(magnitudes[top] - 1.0) > tol or (rest.size and float(rest.max()) > tol):
+        raise SimulationError("state is not a computational basis state")
+    return int(nonzero[top])
+
+
+def _occupied_index(amps: np.ndarray, occupied: np.ndarray, tol: float = 1e-9) -> BasisIndex:
+    """:meth:`StateVector.basis_index`, scanning only the blocks flagged in ``occupied``.
+
+    ``occupied`` is :func:`_apply_segment`'s per-block record. An unflagged
+    block holds only zero bytes, hence no nonzero word, so the nonzero
+    words found here, and the verdict on them, are the full scan's.
+    """
+    rows = np.flatnonzero(occupied)
+    words = _words(amps).reshape(occupied.size, -1)
+    row, column = np.nonzero(words[rows])
+    return _locate(amps, rows[row] * words.shape[1] + column, tol)
 
 
 def init_state(
@@ -267,10 +311,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one unitary gate; returns a new state, input untouched."""
     if isinstance(gate, Measure):
         raise SimulationError("measurement is not a unitary gate; use run()")
-    control_mask, target_mask = _gate_masks(gate)
-    if (control_mask | target_mask).bit_length() > state.num_qubits:
-        raise SimulationError(f"gate {gate!r} out of range for {state.num_qubits} qubits")
-    return StateVector(state.num_qubits, _apply_segment(state.amplitudes, [gate]))
+    amplitudes, _ = _apply_segment(state.amplitudes, [gate])
+    return StateVector(state.num_qubits, amplitudes)
 
 
 @dataclass(frozen=True)
@@ -326,11 +368,12 @@ def run(
     located: BasisIndex | None = initial
     for measuring, gates in groupby(circuit.gates, key=lambda gate: isinstance(gate, Measure)):
         if not measuring:
-            state = StateVector(state.num_qubits, _apply_segment(state.amplitudes, list(gates)))
+            amplitudes, occupied = _apply_segment(state.amplitudes, list(gates))
+            state = StateVector(state.num_qubits, amplitudes)
             located = None
             continue
         if located is None:
-            located = state.basis_index()
+            located = _occupied_index(state.amplitudes, occupied)
         for gate in gates:
             bits[gate.clbit] = located >> gate.qubit & 1
     return RunResult(tuple(bits), state)

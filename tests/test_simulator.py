@@ -3,6 +3,7 @@
 import math
 import random
 from itertools import groupby
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qrbs.simulator import (
     RunResult,
     StateVector,
     _apply_segment,
+    _occupied_index,
     apply_gate,
     engines_agree,
     init_state,
@@ -156,19 +158,34 @@ class TestBasisIndex:
             ({3: 1, 4: 1}, 1e-9),  # two nonzero words
             ({3: 1, 4: 1e-12}, 1e-9),
             ({3: 0.5, 4: 0.5}, 1e-9),
+            # the same across the four 2^16 blocks of an 18-qubit state
+            ({70000: complex(-0.0, 1.0), 5: complex(0.0, -0.0)}, 1e-9),
+            ({1: complex(-0.0, 0.0), 140000: complex(0.0, -0.0), 262143: -0.0}, 1e-9),
+            ({3: 1, 200000: 1}, 1e-9),
+            ({65535: 1e-12, 65536: 1}, 1e-9),
+            ({262143: 1.001}, 1e-9),
+            ({131072: complex(-0.0, -0.0), 196607: 0.99}, 0.05),
         ],
     )
     def test_matches_the_full_scan(self, dtype, entries, tol):
-        amps = np.zeros(64, dtype=dtype)
+        amps = np.zeros(1 << 18, dtype=dtype)
         for index, value in entries.items():
             amps[index] = value
+        gathered, occupied = _apply_segment(amps, [])
+        assert list(np.flatnonzero(occupied)) == sorted({index >> 16 for index in entries})
+        locators = (
+            lambda: StateVector(18, amps).basis_index(tol),
+            lambda: _occupied_index(gathered, occupied, tol),
+        )
         try:
             expected = self.full_scan(amps, tol)
         except SimulationError as exc:
-            with pytest.raises(SimulationError, match=str(exc)):
-                StateVector(6, amps).basis_index(tol)
+            for locate in locators:
+                with pytest.raises(SimulationError, match=str(exc)):
+                    locate()
         else:
-            assert StateVector(6, amps).basis_index(tol) == expected
+            for locate in locators:
+                assert locate() == expected
 
 
 class TestRun:
@@ -215,6 +232,12 @@ class TestRun:
         circuit.append(X(0)).append(Measure(0, 0)).append(X(1)).append(Measure(1, 1))
         for engine in ("fast", "statevector"):
             assert run(circuit, engine=engine).bits == (1, 1)
+
+    def test_dense_run_rejects_a_gate_beyond_the_register(self):
+        circuit = Circuit(3, 1).append(X(0)).append(Measure(0, 0))
+        circuit.gates.append(CNOT(0, 5))  # bypasses Circuit.append's check
+        with pytest.raises(SimulationError, match="out of range for 3 qubits"):
+            run(circuit, engine="statevector")
 
 
 class TestEngineAgreement:
@@ -336,7 +359,7 @@ class TestFusedSegmentKernel:
         amplitudes = values
         for measuring, gates in groupby(circuit.gates, key=lambda gate: isinstance(gate, Measure)):
             if not measuring:
-                amplitudes = _apply_segment(amplitudes, list(gates))
+                amplitudes, _ = _apply_segment(amplitudes, list(gates))
         expected = np.empty_like(values)
         expected[as_permutation(circuit, max_qubits=18)] = values  # amplitude at i moves to perm[i]
         assert np.array_equal(amplitudes, expected)
@@ -383,7 +406,7 @@ class TestFusedSegmentKernel:
             monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: usable, raising=False)
             monkeypatch.setattr(simulator.os, "cpu_count", lambda: len(usable))
             started.clear()
-            gathered[cpus] = _apply_segment(values, circuit.gates)
+            gathered[cpus], _ = _apply_segment(values, circuit.gates)
             assert len(started) == cpus - 1  # the calling thread gathers one half itself
         assert gathered[1].dtype == gathered[2].dtype == dtype
         assert gathered[1].tobytes() == gathered[2].tobytes() == expected.tobytes()
@@ -412,6 +435,42 @@ class TestFusedSegmentKernel:
         dense = run(circuit, initial, "statevector")
         assert dense.bits == fast.bits
         assert dense.final_state.basis_index() == fast.final_state
+
+
+class TestMeasuredRuns:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(15, 20),
+        st.integers(0, 40),
+        st.sampled_from(["first", "middle", "last"]),
+    )
+    @example(seed=3, num_qubits=17, num_gates=40, where="last")
+    @example(seed=8, num_qubits=18, num_gates=40, where="middle")
+    def test_dense_runs_match_the_fast_engine(self, seed, num_qubits, num_gates, where):
+        rng = random.Random(seed)
+        circuit = interleaved_circuit(rng, num_qubits, num_gates)
+        blocks = 1 << max(0, num_qubits - 16)
+        block = {"first": 0, "middle": blocks // 2, "last": blocks - 1}[where]
+        initial = block << 16 | rng.randrange(1 << min(16, num_qubits))
+        fast = run(circuit, initial, "fast")
+        for cpus in (1, 2):
+            with mock.patch.object(simulator, "_usable_cpus", lambda: cpus):
+                dense = run(circuit, initial, "statevector")
+            assert dense.bits == fast.bits
+            assert dense.final_state.basis_index() == fast.final_state
+
+    def test_measurements_make_no_full_scan(self, monkeypatch):
+        circuit = interleaved_circuit(random.Random(43), 20, 60)
+        kinds = [isinstance(gate, Measure) for gate in circuit.gates]
+        assert (False, True) in zip(kinds, kinds[1:])  # a measurement after a run of gates
+        fast = run(circuit, (1 << 20) - 1, "fast")
+
+        def refuse(self, tol=1e-9):
+            raise AssertionError("run() scanned the whole state")
+
+        monkeypatch.setattr(StateVector, "basis_index", refuse)
+        assert run(circuit, (1 << 20) - 1, "statevector").bits == fast.bits
 
 
 def dependency_ordered_gates(rng: random.Random, num_qubits: int, num_gates: int) -> list:
@@ -459,7 +518,7 @@ def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
     expected = np.empty_like(values)
     circuit = Circuit(num_qubits).extend(gates)
     expected[as_permutation(circuit, max_qubits=num_qubits)] = values
-    assert np.array_equal(_apply_segment(values, gates), expected)
+    assert np.array_equal(_apply_segment(values, gates)[0], expected)
 
 
 def plan(gates, num_qubits: int):
