@@ -26,17 +26,17 @@ writes on flip the index one by one. Compiled circuits emit gates in
 dependency order, so their runs are tables only. The indices are
 ``np.intp``, which ``np.take`` uses without converting. Every index is
 an XOR of offsets, block start and gate masks, so it is in range once
-every gate's qubits are: the kernel checks that once per call, and the
-take then runs in ``mode="wrap"``, which writes straight into the output
-(the default ``mode="raise"`` gathers each block into a buffer and
-copies it). Right after a block is gathered, while it is still in cache,
-the kernel notes whether it holds a nonzero word, so :func:`run` finds
-the measured basis state in the occupied blocks alone. The state is read
-and written in one pass per run of gates, with no second pass to
-measure, and the block of indices stays in cache. The blocks are
-independent, so the two halves of the output range are gathered on two
-threads when two CPUs are usable (numpy releases the interpreter lock in
-these loops).
+every gate's qubits are: the kernel checks that once per call, while it
+plans, and the take then runs in ``mode="wrap"``, which writes straight
+into the output (the default ``mode="raise"`` gathers each block into a
+buffer and copies it). For :func:`run`, right after a block is gathered,
+while it is still in cache, the kernel notes whether it holds a nonzero
+word, so the measured basis state is found in the occupied blocks
+alone. The state is read and written in one pass per run of gates, with
+no second pass to measure, and the block of indices stays in cache. The
+blocks are independent, so the two halves of the output range are
+gathered on two threads when two CPUs are usable (numpy releases the
+interpreter lock in these loops).
 
 :func:`init_state` allocates complex64: a permutation circuit run from a
 basis state only ever holds the amplitudes 0 and 1, which complex64 holds
@@ -110,11 +110,13 @@ def _flip(index: np.ndarray, control_mask: int, target_mask: int, flips: np.ndar
 
 
 def _plan(
-    gates: Sequence[Gate], block_bits: int
+    gates: Sequence[Gate], num_qubits: int
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], list[tuple[int, int]]]:
-    """Plan the pull-back of a run of gates over blocks of ``2^block_bits`` indices.
+    """Plan the pull-back of a run of gates on ``num_qubits`` qubits, block by block.
 
-    The gates are walked last first. A gate is static when no gate pulled
+    A block is ``2^min(16, num_qubits)`` output indices. The gates are
+    walked last first; a gate that names a qubit at or above ``num_qubits``
+    raises :class:`SimulationError`. A gate is static when no gate pulled
     back before it wrote one of its controls: its flip then depends only on
     the output index, as ``(low controls set) << target`` within a block
     times ``start & high == high`` for the block. Static gates with the same
@@ -125,6 +127,7 @@ def _plan(
     target mask)`` for every gate from the first non-static one on, applied
     one by one after the tables.
     """
+    block_bits = min(_BLOCK_BITS, num_qubits)
     offsets = np.arange(1 << block_bits, dtype=np.intp)
     low = (1 << block_bits) - 1
     tables: dict[int, np.ndarray] = {0: offsets.copy()}
@@ -132,6 +135,8 @@ def _plan(
     written = 0  # targets of the static gates planned so far
     for gate in reversed(gates):
         control_mask, target_mask = _gate_masks(gate)
+        if (control_mask | target_mask) >> num_qubits:
+            raise SimulationError(f"gate {gate!r} out of range for {num_qubits} qubits")
         if steps or control_mask & written:
             steps.append((control_mask, target_mask))
             continue
@@ -143,11 +148,14 @@ def _plan(
     return base, list(tables.items()), steps
 
 
-def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
+def _apply_segment(
+    amps: np.ndarray, gates: Sequence[Gate], note_occupied: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Apply a run of unitary gates as one gather.
 
-    Returns a new array and one flag per block of output indices, set when
-    the block holds a nonzero byte, which :func:`_occupied_index` reads.
+    Returns a new array and, if ``note_occupied``, one flag per block of
+    output indices, set when the block holds a nonzero byte, which
+    :func:`_occupied_index` reads (else ``None``).
     X, CNOT and CCNOT are each their own inverse, so output amplitude
     ``i`` is input amplitude ``g1(g2(...gk(i)))``: the index is pulled back
     through the gates from last to first. :func:`_plan` folds the gates
@@ -156,22 +164,17 @@ def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> tuple[np.ndarray,
     high-control mask the start satisfies; any remaining gates flip the
     index one by one. The indices are ``np.intp``, the index type
     ``np.take`` gathers with, and live in preallocated per-thread buffers.
-    Raises :class:`SimulationError` before any gather if a gate names a
-    qubit outside the state: only then is every index below ``amps.size``,
-    which the unbuffered ``mode="wrap"`` take relies on. A block's flag is
-    taken right after its take, while the block is still in cache.
+    :func:`_plan` raises :class:`SimulationError` before any gather if a
+    gate names a qubit outside the state: only then is every index below
+    ``amps.size``, which the unbuffered ``mode="wrap"`` take relies on. A
+    block's flag is taken right after its take, while the block is still
+    in cache.
     """
-    n = amps.size.bit_length() - 1
-    for gate in gates:
-        control_mask, target_mask = _gate_masks(gate)
-        if (control_mask | target_mask) >> n:
-            raise SimulationError(f"gate {gate!r} out of range for {n} qubits")
-    block_bits = min(_BLOCK_BITS, n)
-    base, tables, steps = _plan(gates, block_bits)
-    block = 1 << block_bits
+    base, tables, steps = _plan(gates, amps.size.bit_length() - 1)
+    block = base.size
     blocks = amps.size // block
     out = np.empty_like(amps)
-    occupied = np.zeros(blocks, dtype=bool)
+    occupied = np.zeros(blocks, dtype=bool) if note_occupied else None
     errors: list[BaseException] = []
 
     def gather(first: int, last: int) -> None:
@@ -187,7 +190,8 @@ def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> tuple[np.ndarray,
                     _flip(index, control_mask, target_mask, flips)
                 gathered = out[start : start + block]
                 np.take(amps, index, out=gathered, mode="wrap")
-                occupied[k] = gathered.view(np.uint8).max() > 0
+                if occupied is not None:
+                    occupied[k] = gathered.view(np.uint8).max() > 0
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -230,17 +234,9 @@ class StateVector:
         over more than one basis state (within ``tol``). A complex64 state
         is scanned as one ``uint64`` word per amplitude; a ``-0.0`` part
         makes a word nonzero, so the candidates are filtered by magnitude.
-        When exactly one word is nonzero it is the largest, so ``argmax``
-        finds it without listing the nonzero words; any other state takes
-        the full scan.
         """
         amps = self.amplitudes
-        words = _words(amps)
-        if words.dtype == np.uint64 and np.count_nonzero(words) == 1:
-            top = int(np.argmax(words))
-            if abs(abs(amps[top]) - 1.0) <= tol:
-                return top
-        return _locate(amps, np.flatnonzero(words), tol)
+        return _locate(amps, np.flatnonzero(_words(amps)), tol)
 
 
 def _words(amps: np.ndarray) -> np.ndarray:
@@ -368,7 +364,9 @@ def run(
     located: BasisIndex | None = initial
     for measuring, gates in groupby(circuit.gates, key=lambda gate: isinstance(gate, Measure)):
         if not measuring:
-            amplitudes, occupied = _apply_segment(state.amplitudes, list(gates))
+            amplitudes, occupied = _apply_segment(
+                state.amplitudes, list(gates), note_occupied=True
+            )
             state = StateVector(state.num_qubits, amplitudes)
             located = None
             continue

@@ -130,7 +130,7 @@ class TestBasisIndex:
 
     @staticmethod
     def full_scan(amps: np.ndarray, tol: float = 1e-9) -> int:
-        """The scan over every nonzero word that the one-word test falls back to."""
+        """An independent copy of the scan over every nonzero word."""
         words = amps.view(np.uint64) if amps.dtype == np.complex64 else amps
         nonzero = np.flatnonzero(words)
         magnitudes = np.abs(amps[nonzero])
@@ -171,7 +171,7 @@ class TestBasisIndex:
         amps = np.zeros(1 << 18, dtype=dtype)
         for index, value in entries.items():
             amps[index] = value
-        gathered, occupied = _apply_segment(amps, [])
+        gathered, occupied = _apply_segment(amps, [], note_occupied=True)
         assert list(np.flatnonzero(occupied)) == sorted({index >> 16 for index in entries})
         locators = (
             lambda: StateVector(18, amps).basis_index(tol),
@@ -521,10 +521,6 @@ def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
     assert np.array_equal(_apply_segment(values, gates)[0], expected)
 
 
-def plan(gates, num_qubits: int):
-    return simulator._plan(gates, min(simulator._BLOCK_BITS, num_qubits))
-
-
 class TestPlannedPullBack:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32), st.integers(15, 20), st.integers(1, 40))
@@ -532,7 +528,7 @@ class TestPlannedPullBack:
     @example(seed=2, num_qubits=17, num_gates=40)
     def test_dependency_ordered_runs_are_all_tables(self, seed, num_qubits, num_gates):
         gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
-        _, tables, steps = plan(gates, num_qubits)
+        _, tables, steps = simulator._plan(gates, num_qubits)
         assert steps == []
         assert len(tables) <= len(high_control_masks(gates))
         assert_gathers_like_the_oracle(num_qubits, gates)
@@ -542,7 +538,7 @@ class TestPlannedPullBack:
         tail = [CNOT(0, 16), CNOT(17, 16), CCNOT(0, 17, 16), CNOT(16, 18), CNOT(4, 18)]
         tail.append(CCNOT(16, 4, 18))
         gates = swap + tail
-        _, tables, steps = plan(gates, 19)
+        _, tables, steps = simulator._plan(gates, 19)
         # the tail and the swap's last CNOT are tables; its first two CNOTs read 17 after it
         assert [high for high, _ in tables] == [1 << 16, 1 << 17]
         assert steps == [(1 << 17, 1 << 4), (1 << 4, 1 << 17)]
@@ -550,7 +546,7 @@ class TestPlannedPullBack:
 
     def test_run_that_turns_non_static_at_once(self):
         gates = [CCNOT(2, 16, 17), CNOT(17, 2), CNOT(2, 16), CCNOT(16, 17, 3), X(17)]
-        base, tables, steps = plan(gates, 18)
+        base, tables, steps = simulator._plan(gates, 18)
         assert tables == [] and len(steps) == 4
         assert np.array_equal(base, np.arange(1 << 16) ^ 1 << 17)
         assert_gathers_like_the_oracle(18, gates)
@@ -586,12 +582,12 @@ class TestPlannedPullBack:
             ]
             assert runs
             for gates in runs:
-                assert plan(gates, circuit.num_qubits)[2] == []
+                assert simulator._plan(gates, circuit.num_qubits)[2] == []
         assert circuit.num_qubits == 25
 
     def test_tables_are_bounded_by_the_high_control_masks(self):
         gates = [CNOT(5, 17), CNOT(17, 5)] * 1000
-        _, tables, steps = plan(gates, 18)
+        _, tables, steps = simulator._plan(gates, 18)
         assert len(tables) <= len(high_control_masks(gates)) == 1
         assert len(steps) == len(gates) - 1
         assert_gathers_like_the_oracle(18, gates)
