@@ -9,7 +9,15 @@ simulation engines (:mod:`qrbs.simulator`), a bit-plane kernel that
 runs rules and circuits over every input assignment at once for
 exhaustive checks (:mod:`qrbs.planes`), and a TNM staging application
 built on all of it (:mod:`qrbs.idc`).
+
+Only the dense engine (:mod:`qrbs.dense`, loaded on the first dense
+run) and the permutation oracle (:func:`qrbs.circuit.as_permutation`)
+use numpy, so the fast path runs without it; importing the package only
+registers numpy to load on first use (:func:`_defer_numpy`).
 """
+
+import importlib.util
+import sys
 
 from .categorical import (
     Complex,
@@ -88,14 +96,36 @@ from .rules import (
     parse_rules,
     topological_order,
 )
-from .simulator import (
-    RunResult,
-    StateVector,
-    apply_gate,
-    engines_agree,
-    init_state,
-    results_agree,
-    run,
-)
+from .simulator import RunResult, engines_agree, results_agree, run
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the dense engine's names load qrbs.dense, and so numpy, on first use
+    if name in ("StateVector", "apply_gate", "init_state"):
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _defer_numpy() -> None:
+    """Register numpy in ``sys.modules`` as a module that loads on its first attribute access.
+
+    A process that only runs the fast path then never loads numpy, while
+    code that looks numpy up in ``sys.modules`` (to report its version,
+    say) still finds it, and loads it at that moment. Nothing is done if
+    numpy is already imported, blocked (``sys.modules["numpy"] = None``)
+    or not installed.
+    """
+    if "numpy" in sys.modules:
+        return
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        return
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+
+
+_defer_numpy()

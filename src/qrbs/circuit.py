@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import CircuitError, QasmError
 
@@ -34,6 +32,9 @@ __all__ = [
     "gate_qubits",
     "import_qasm",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,8 @@ def as_permutation(circuit: Circuit, max_qubits: int = 16) -> np.ndarray:
     Entry ``i`` is where basis state ``i`` ends up. Valid because X,
     CNOT and CCNOT map basis states to basis states.
     """
+    import numpy as np
+
     n = circuit.num_qubits
     if n > max_qubits:
         raise CircuitError(f"permutation oracle capped at {max_qubits} qubits, got {n}")

@@ -27,7 +27,7 @@ from .circuit import export_qasm, gate_counts, import_qasm
 from .compiler import CompileOptions, compile_network, verify_compilation
 from .errors import QrbsError
 from .rules import parse_rules
-from .simulator import ENGINES, StateVector, run
+from .simulator import ENGINES, run
 
 
 def _tnm_argument(text: str) -> idc.TnmClass:
@@ -212,15 +212,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.dump_state:
         if circuit.num_qubits > 8:
             raise QrbsError("state dump is limited to 8 qubits")
-        if isinstance(result.final_state, StateVector):
+        if isinstance(result.final_state, int):  # the fast engine's basis index
+            final = {format(result.final_state, f"0{circuit.num_qubits}b"): [1.0, 0.0]}
+        else:
             amps = result.final_state.amplitudes
             final = {
                 format(i, f"0{circuit.num_qubits}b"): [float(amps[i].real), float(amps[i].imag)]
                 for i in range(len(amps))
                 if amps[i] != 0
             }
-        else:
-            final = {format(result.final_state, f"0{circuit.num_qubits}b"): [1.0, 0.0]}
     if args.json:
         payload = {"bits": result.bitstring}
         if args.dump_state:

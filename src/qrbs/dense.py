@@ -1,0 +1,315 @@
+"""The dense engine: all ``2^n`` amplitudes of a state, moved by one gather kernel.
+
+This is the only module of the package that imports numpy when it loads,
+and :func:`qrbs.simulator.run` loads it on the first
+``engine="statevector"`` run, so a process that only runs the fast engine
+never pays for numpy.
+
+The kernel is used by both :func:`run` (once per maximal run of unitary
+gates between measurements) and :func:`apply_gate` (once per gate). It
+applies the run of gates as one permutation: for each block of 2^16
+output indices it pulls the indices back through the gates in reverse,
+then gathers the amplitudes with ``np.take`` into a new array. The
+pull-back is planned once per run, before the blocks: a gate whose
+controls no later gate writes flips the index by a function of the output
+index alone, so such gates are folded into a few precomputed tables, one
+per mask of controls above the block bits, and a block's indices are its
+offsets XOR its start XOR the tables its start selects. Gates from the
+first one whose control a later gate writes on flip the index one by one.
+Compiled circuits emit gates in dependency order, so their runs are
+tables only. The indices are ``np.intp``, which ``np.take`` uses without
+converting. Every index is an XOR of offsets, block start and gate masks,
+so it is in range once every gate's qubits are: the kernel checks that
+once per call, while it plans, and the take then runs in ``mode="wrap"``,
+which writes straight into the output (the default ``mode="raise"``
+gathers each block into a buffer and copies it). For :func:`run`, right
+after a block is gathered, while it is still in cache, the kernel notes
+whether it holds a nonzero word, so the measured basis state is found in
+the occupied blocks alone. The state is read and written in one pass per
+run of gates, with no second pass to measure, and the block of indices
+stays in cache. The blocks are independent, so the two halves of the
+output range are gathered on two threads when two CPUs are usable (numpy
+releases the interpreter lock in these loops).
+
+:func:`init_state` allocates complex64: a permutation circuit run from a
+basis state only ever holds the amplitudes 0 and 1, which complex64 holds
+exactly, at half the memory traffic of complex128. A caller-built state
+keeps its own dtype through :func:`apply_gate`.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import groupby
+
+import numpy as np
+
+from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X
+from .errors import SimulationError
+
+__all__ = ["DEFAULT_MAX_QUBITS", "StateVector", "apply_gate", "init_state", "run"]
+
+# 2^26 complex64 amplitudes is 512 MiB, and run() holds two states while it
+# gathers one into the other (1 GiB at peak); larger needs an explicit
+# override.
+DEFAULT_MAX_QUBITS = 26
+
+# Output indices per block of the fused gather: 2^16 indices (512 KiB as
+# 64-bit np.intp) stay in cache while a run's tables are XORed into them.
+_BLOCK_BITS = 16
+
+
+def _gate_masks(gate: Gate) -> tuple[int, int]:
+    match gate:
+        case X(target):
+            return 0, 1 << target
+        case CNOT(control, target):
+            return 1 << control, 1 << target
+        case CCNOT(control1, control2, target):
+            return (1 << control1) | (1 << control2), 1 << target
+    raise SimulationError(f"not a unitary gate: {gate!r}")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _flip(index: np.ndarray, control_mask: int, target_mask: int, flips: np.ndarray) -> None:
+    """XOR ``target_mask`` into ``index`` where every bit of ``control_mask`` is set."""
+    if not control_mask:
+        index ^= target_mask
+        return
+    np.bitwise_and(index, control_mask, out=flips)
+    np.equal(flips, control_mask, out=flips)
+    flips *= target_mask
+    index ^= flips
+
+
+def _plan(
+    gates: Sequence[Gate], num_qubits: int
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], list[tuple[int, int]]]:
+    """Plan the pull-back of a run of gates on ``num_qubits`` qubits, block by block.
+
+    A block is ``2^min(16, num_qubits)`` output indices. The gates are
+    walked last first; a gate that names a qubit at or above ``num_qubits``
+    raises :class:`SimulationError`. A gate is static when no gate pulled
+    back before it wrote one of its controls: its flip then depends only on
+    the output index, as ``(low controls set) << target`` within a block
+    times ``start & high == high`` for the block. Static gates with the same
+    high-control mask share one table, the XOR of their low-bit flips.
+    Returns ``(base, tables, steps)``: ``base`` is the block offsets XOR the
+    table of the gates with no high control, ``tables`` pairs each other
+    high-control mask with its table, and ``steps`` holds ``(control mask,
+    target mask)`` for every gate from the first non-static one on, applied
+    one by one after the tables.
+    """
+    block_bits = min(_BLOCK_BITS, num_qubits)
+    offsets = np.arange(1 << block_bits, dtype=np.intp)
+    low = (1 << block_bits) - 1
+    tables: dict[int, np.ndarray] = {0: offsets.copy()}
+    steps: list[tuple[int, int]] = []
+    written = 0  # targets of the static gates planned so far
+    for gate in reversed(gates):
+        control_mask, target_mask = _gate_masks(gate)
+        if (control_mask | target_mask) >> num_qubits:
+            raise SimulationError(f"gate {gate!r} out of range for {num_qubits} qubits")
+        if steps or control_mask & written:
+            steps.append((control_mask, target_mask))
+            continue
+        written |= target_mask
+        low_controls = control_mask & low
+        table = tables.setdefault(control_mask & ~low, np.zeros_like(offsets))
+        table ^= np.where(offsets & low_controls == low_controls, target_mask, 0)
+    base = tables.pop(0)
+    return base, list(tables.items()), steps
+
+
+def _apply_segment(
+    amps: np.ndarray, gates: Sequence[Gate], note_occupied: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Apply a run of unitary gates as one gather.
+
+    Returns a new array and, if ``note_occupied``, one flag per block of
+    output indices, set when the block holds a nonzero byte, which
+    :func:`_occupied_index` reads (else ``None``).
+    X, CNOT and CCNOT are each their own inverse, so output amplitude
+    ``i`` is input amplitude ``g1(g2(...gk(i)))``: the index is pulled back
+    through the gates from last to first. :func:`_plan` folds the gates
+    whose flips depend only on ``i`` into per-block tables, so a block's
+    input indices are its offsets XOR its start XOR each table whose
+    high-control mask the start satisfies; any remaining gates flip the
+    index one by one. The indices are ``np.intp``, the index type
+    ``np.take`` gathers with, and live in preallocated per-thread buffers.
+    :func:`_plan` raises :class:`SimulationError` before any gather if a
+    gate names a qubit outside the state: only then is every index below
+    ``amps.size``, which the unbuffered ``mode="wrap"`` take relies on. A
+    block's flag is taken right after its take, while the block is still
+    in cache.
+    """
+    base, tables, steps = _plan(gates, amps.size.bit_length() - 1)
+    block = base.size
+    blocks = amps.size // block
+    out = np.empty_like(amps)
+    occupied = np.zeros(blocks, dtype=bool) if note_occupied else None
+    errors: list[BaseException] = []
+
+    def gather(first: int, last: int) -> None:
+        try:
+            index, flips = np.empty(block, np.intp), np.empty(block, np.intp)
+            for k in range(first, last):
+                start = k * block
+                np.bitwise_xor(base, start, out=index)
+                for high, table in tables:
+                    if start & high == high:
+                        index ^= table
+                for control_mask, target_mask in steps:
+                    _flip(index, control_mask, target_mask, flips)
+                gathered = out[start : start + block]
+                np.take(amps, index, out=gathered, mode="wrap")
+                if occupied is not None:
+                    occupied[k] = gathered.view(np.uint8).max() > 0
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    threads = min(2, _usable_cpus(), blocks)
+    bounds = [blocks * k // threads for k in range(threads + 1)]
+    helpers = [
+        threading.Thread(target=gather, args=span) for span in zip(bounds[1:-1], bounds[2:])
+    ]
+    for helper in helpers:
+        helper.start()
+    gather(bounds[0], bounds[1])
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return out, occupied
+
+
+@dataclass
+class StateVector:
+    """Dense state: ``2^num_qubits`` complex amplitudes."""
+
+    num_qubits: int
+    amplitudes: np.ndarray
+
+    def norm_sq(self) -> float:
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+
+    def basis_index(self, tol: float = 1e-9) -> int:
+        """The index of the single occupied basis state.
+
+        Raises :class:`SimulationError` if the amplitude weight is spread
+        over more than one basis state (within ``tol``). A complex64 state
+        is scanned as one ``uint64`` word per amplitude; a ``-0.0`` part
+        makes a word nonzero, so the candidates are filtered by magnitude.
+        """
+        amps = self.amplitudes
+        return _locate(amps, np.flatnonzero(_words(amps)), tol)
+
+
+def _words(amps: np.ndarray) -> np.ndarray:
+    """What the scans look at: a complex64 amplitude as one ``uint64`` word, else as is."""
+    return amps.view(np.uint64) if amps.dtype == np.complex64 else amps
+
+
+def _locate(amps: np.ndarray, nonzero: np.ndarray, tol: float) -> int:
+    """The basis index, given every nonzero word's index in ascending order."""
+    magnitudes = np.abs(amps[nonzero])
+    if not magnitudes.any():
+        raise SimulationError("zero state has no basis index")
+    top = int(np.argmax(magnitudes))
+    rest = np.delete(magnitudes, top)
+    if abs(magnitudes[top] - 1.0) > tol or (rest.size and float(rest.max()) > tol):
+        raise SimulationError("state is not a computational basis state")
+    return int(nonzero[top])
+
+
+def _occupied_index(amps: np.ndarray, occupied: np.ndarray, tol: float = 1e-9) -> int:
+    """:meth:`StateVector.basis_index`, scanning only the blocks flagged in ``occupied``.
+
+    ``occupied`` is :func:`_apply_segment`'s per-block record. An unflagged
+    block holds only zero bytes, hence no nonzero word, so the nonzero
+    words found here, and the verdict on them, are the full scan's.
+    """
+    rows = np.flatnonzero(occupied)
+    words = _words(amps).reshape(occupied.size, -1)
+    row, column = np.nonzero(words[rows])
+    return _locate(amps, rows[row] * words.shape[1] + column, tol)
+
+
+def init_state(num_qubits: int, basis: int = 0, max_qubits: int | None = None) -> StateVector:
+    """A dense state with amplitude 1 at ``basis`` and 0 elsewhere."""
+    cap = DEFAULT_MAX_QUBITS if max_qubits is None else max_qubits
+    if num_qubits > cap:
+        raise SimulationError(
+            f"{num_qubits} qubits exceeds the dense-engine cap of {cap} "
+            f"(override with max_qubits)"
+        )
+    if num_qubits < 0:
+        raise ValueError("num_qubits must be non-negative")
+    if not 0 <= basis < 1 << num_qubits:
+        raise ValueError(f"basis index {basis} out of range for {num_qubits} qubits")
+    _check_memory(num_qubits, np.complex64)
+    amplitudes = np.zeros(1 << num_qubits, dtype=np.complex64)
+    amplitudes[basis] = 1.0
+    return StateVector(num_qubits, amplitudes)
+
+
+def _check_memory(num_qubits: int, dtype: np.dtype | type) -> None:
+    """Fail unless two dense states, the gather's peak in :func:`run`, fit in RAM."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # the platform does not report physical memory
+    state_bytes = np.dtype(dtype).itemsize << num_qubits
+    if 2 * state_bytes > physical:
+        raise SimulationError(
+            f"{num_qubits} qubits need two dense states of {state_bytes / 2**30:.1f} GiB, "
+            f"but physical memory is {physical / 2**30:.1f} GiB"
+        )
+
+
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Apply one unitary gate; returns a new state, input untouched."""
+    if isinstance(gate, Measure):
+        raise SimulationError("measurement is not a unitary gate; use run()")
+    amplitudes, _ = _apply_segment(state.amplitudes, [gate])
+    return StateVector(state.num_qubits, amplitudes)
+
+
+def run(
+    circuit: Circuit, initial: int, max_qubits: int | None = None
+) -> tuple[tuple[int, ...], StateVector]:
+    """Run ``circuit`` from the basis state ``initial``; returns the bits and the final state.
+
+    A measurement that names a qubit or a classical bit outside the
+    circuit's registers raises :class:`SimulationError`, as
+    :func:`_plan` does for a unitary gate.
+    """
+    state = init_state(circuit.num_qubits, initial, max_qubits)
+    bits = [0] * circuit.num_clbits
+    located: int | None = initial
+    for measuring, gates in groupby(circuit.gates, key=lambda gate: isinstance(gate, Measure)):
+        if not measuring:
+            amplitudes, occupied = _apply_segment(
+                state.amplitudes, list(gates), note_occupied=True
+            )
+            state = StateVector(state.num_qubits, amplitudes)
+            located = None
+            continue
+        if located is None:
+            located = _occupied_index(state.amplitudes, occupied)
+        for gate in gates:
+            if gate.qubit >= circuit.num_qubits or gate.clbit >= circuit.num_clbits:
+                raise SimulationError(
+                    f"gate {gate!r} out of range for {circuit.num_qubits} qubits "
+                    f"and {circuit.num_clbits} classical bits"
+                )
+            bits[gate.clbit] = located >> gate.qubit & 1
+    return tuple(bits), state

@@ -326,7 +326,12 @@ def run_activation(
     if compiled is None:
         compiled = build_idc_circuit()
     result = run(compiled.circuit, 1 << active[0], engine, max_qubits)
-    return decode_stages(result.bitstring), result
+    if len(result.bits) != len(STAGES):
+        raise ValueError(f"expected {len(STAGES)} output bits, got {len(result.bits)}")
+    mask = 0
+    for bit in reversed(result.bits):  # classical bit k is STAGES[k]
+        mask = mask << 1 | bit
+    return StageSet(mask), result
 
 
 def stage(

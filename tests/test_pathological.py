@@ -6,7 +6,7 @@ CLI), never in a ``RecursionError``, a ``MemoryError`` or a traceback.
 
 import pytest
 
-from qrbs import simulator
+from qrbs import dense, simulator
 from qrbs.categorical import parse_constraints
 from qrbs.circuit import MAX_REGISTER, Circuit, Measure, X, import_qasm
 from qrbs.cli import main
@@ -97,7 +97,7 @@ def test_dense_run_beyond_physical_memory_fails_before_allocating(
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the memory preflight")
 
-    monkeypatch.setattr(simulator.np, "zeros", refuse)
+    monkeypatch.setattr(dense.np, "zeros", refuse)
     circuit = tmp_path / "wide.qasm"
     circuit.write_text(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[40];\ncreg c[1];\n'
@@ -116,7 +116,7 @@ def test_memory_preflight_sizes_complex64_states(monkeypatch):
     # and two complex128 states (32 MiB) at 20 qubits.
     n, page = 20, 4096
     pages = {"SC_PAGE_SIZE": page, "SC_PHYS_PAGES": 24 * 2**20 // page}
-    monkeypatch.setattr(simulator.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(dense.os, "sysconf", pages.__getitem__)
     assert 2 * 8 << n < pages["SC_PHYS_PAGES"] * page < 2 * 16 << n
     circuit = Circuit(n, 1).append(X(n - 1)).append(Measure(n - 1, 0))
     assert simulator.run(circuit, engine="statevector").bits == (1,)
@@ -124,7 +124,7 @@ def test_memory_preflight_sizes_complex64_states(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the memory preflight")
 
-    monkeypatch.setattr(simulator.np, "zeros", refuse)
+    monkeypatch.setattr(dense.np, "zeros", refuse)
     with pytest.raises(SimulationError, match="GiB"):
         simulator.run(Circuit(n + 1), engine="statevector")
 

@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 
 from conftest import random_circuit
 from qrbs import circuit as circuit_module
+from qrbs import dense as dense_module
 from qrbs import planes, simulator
 from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, as_permutation, gate_qubits
 from qrbs.compiler import CompileOptions
+from qrbs.dense import _apply_segment, _occupied_index
 from qrbs.errors import SimulationError
 from qrbs.idc import build_idc_circuit
 from qrbs.simulator import (
     RunResult,
     StateVector,
-    _apply_segment,
-    _occupied_index,
     apply_gate,
     engines_agree,
     init_state,
@@ -233,6 +233,27 @@ class TestRun:
         for engine in ("fast", "statevector"):
             assert run(circuit, engine=engine).bits == (1, 1)
 
+    @pytest.mark.parametrize("engine", ["fast", "statevector"])
+    @pytest.mark.parametrize(
+        "num_clbits, gates, message",
+        [
+            (0, [CNOT(0, 5), X(4)], "out of range for 3 qubits"),
+            (0, [CNOT(0, 5)], "out of range for 3 qubits"),
+            (0, [CNOT(5, 0)], "out of range for 3 qubits"),
+            (0, [CCNOT(0, 1, 3)], "out of range for 3 qubits"),
+            (0, [CCNOT(4, 0, 1)], "out of range for 3 qubits"),
+            (0, [X(4)], "out of range for 3 qubits"),
+            (1, [Measure(7, 0)], "out of range for 3 qubits and 1 classical bits"),
+            (1, [Measure(0, 4)], "out of range for 3 qubits and 1 classical bits"),
+            (1, [X(0), "X(1)"], "not a"),
+        ],
+    )
+    def test_gates_beyond_the_registers_are_refused(self, engine, num_clbits, gates, message):
+        circuit = Circuit(3, num_clbits)
+        circuit.gates.extend(gates)  # bypasses Circuit.append's checks
+        with pytest.raises(SimulationError, match=message):
+            run(circuit, 1, engine)
+
     def test_dense_run_rejects_a_gate_beyond_the_register(self):
         circuit = Circuit(3, 1).append(X(0)).append(Measure(0, 0))
         circuit.gates.append(CNOT(0, 5))  # bypasses Circuit.append's check
@@ -394,17 +415,17 @@ class TestFusedSegmentKernel:
         expected[as_permutation(circuit, max_qubits=18)] = values
         started = []
 
-        class CountedThread(simulator.threading.Thread):
+        class CountedThread(dense_module.threading.Thread):
             def start(self):
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(simulator.threading, "Thread", CountedThread)
+        monkeypatch.setattr(dense_module.threading, "Thread", CountedThread)
         gathered = {}
         for cpus in (2, 1):
             usable = set(range(cpus))
-            monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: usable, raising=False)
-            monkeypatch.setattr(simulator.os, "cpu_count", lambda: len(usable))
+            monkeypatch.setattr(dense_module.os, "sched_getaffinity", lambda pid: usable, raising=False)
+            monkeypatch.setattr(dense_module.os, "cpu_count", lambda: len(usable))
             started.clear()
             gathered[cpus], _ = _apply_segment(values, circuit.gates)
             assert len(started) == cpus - 1  # the calling thread gathers one half itself
@@ -428,13 +449,30 @@ class TestFusedSegmentKernel:
         def refuse(*args, **kwargs):
             raise AssertionError("the dense engine used another oracle")
 
-        monkeypatch.setattr(simulator, "_permute_index", refuse)
+        monkeypatch.setattr(simulator, "_run_basis", refuse)
         monkeypatch.setattr(circuit_module, "as_permutation", refuse)
         for name in ("chunks", "input_planes", "evaluate", "run", "set_bits"):
             monkeypatch.setattr(planes, name, refuse)
         dense = run(circuit, initial, "statevector")
         assert dense.bits == fast.bits
         assert dense.final_state.basis_index() == fast.final_state
+
+
+    def test_fast_engine_needs_no_dense_code(self, monkeypatch):
+        rng = random.Random(47)
+        circuit = interleaved_circuit(rng, 18, 50)
+        initial = rng.randrange(1 << 18)
+        expected = run(circuit, initial, "statevector")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fast engine used dense-engine code")
+
+        monkeypatch.setattr(dense_module, "_apply_segment", refuse)
+        monkeypatch.setattr(dense_module, "_gate_masks", refuse)
+        fast = run(circuit, initial, "fast")
+        assert fast.bits == expected.bits
+        assert fast.final_state == expected.final_state.basis_index()
+        assert fast.final_state == as_permutation(circuit, max_qubits=18)[initial]
 
 
 class TestMeasuredRuns:
@@ -455,7 +493,7 @@ class TestMeasuredRuns:
         initial = block << 16 | rng.randrange(1 << min(16, num_qubits))
         fast = run(circuit, initial, "fast")
         for cpus in (1, 2):
-            with mock.patch.object(simulator, "_usable_cpus", lambda: cpus):
+            with mock.patch.object(dense_module, "_usable_cpus", lambda: cpus):
                 dense = run(circuit, initial, "statevector")
             assert dense.bits == fast.bits
             assert dense.final_state.basis_index() == fast.final_state
@@ -506,7 +544,7 @@ def dependency_ordered_gates(rng: random.Random, num_qubits: int, num_gates: int
 def high_control_masks(gates) -> set:
     """The distinct nonzero masks of each gate's controls at or above the block bits."""
     masks = {
-        sum(1 << qubit for qubit in gate_qubits(gate)[:-1] if qubit >= simulator._BLOCK_BITS)
+        sum(1 << qubit for qubit in gate_qubits(gate)[:-1] if qubit >= dense_module._BLOCK_BITS)
         for gate in gates
     }
     return masks - {0}
@@ -528,7 +566,7 @@ class TestPlannedPullBack:
     @example(seed=2, num_qubits=17, num_gates=40)
     def test_dependency_ordered_runs_are_all_tables(self, seed, num_qubits, num_gates):
         gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
-        _, tables, steps = simulator._plan(gates, num_qubits)
+        _, tables, steps = dense_module._plan(gates, num_qubits)
         assert steps == []
         assert len(tables) <= len(high_control_masks(gates))
         assert_gathers_like_the_oracle(num_qubits, gates)
@@ -538,7 +576,7 @@ class TestPlannedPullBack:
         tail = [CNOT(0, 16), CNOT(17, 16), CCNOT(0, 17, 16), CNOT(16, 18), CNOT(4, 18)]
         tail.append(CCNOT(16, 4, 18))
         gates = swap + tail
-        _, tables, steps = simulator._plan(gates, 19)
+        _, tables, steps = dense_module._plan(gates, 19)
         # the tail and the swap's last CNOT are tables; its first two CNOTs read 17 after it
         assert [high for high, _ in tables] == [1 << 16, 1 << 17]
         assert steps == [(1 << 17, 1 << 4), (1 << 4, 1 << 17)]
@@ -546,7 +584,7 @@ class TestPlannedPullBack:
 
     def test_run_that_turns_non_static_at_once(self):
         gates = [CCNOT(2, 16, 17), CNOT(17, 2), CNOT(2, 16), CCNOT(16, 17, 3), X(17)]
-        base, tables, steps = simulator._plan(gates, 18)
+        base, tables, steps = dense_module._plan(gates, 18)
         assert tables == [] and len(steps) == 4
         assert np.array_equal(base, np.arange(1 << 16) ^ 1 << 17)
         assert_gathers_like_the_oracle(18, gates)
@@ -582,12 +620,12 @@ class TestPlannedPullBack:
             ]
             assert runs
             for gates in runs:
-                assert simulator._plan(gates, circuit.num_qubits)[2] == []
+                assert dense_module._plan(gates, circuit.num_qubits)[2] == []
         assert circuit.num_qubits == 25
 
     def test_tables_are_bounded_by_the_high_control_masks(self):
         gates = [CNOT(5, 17), CNOT(17, 5)] * 1000
-        _, tables, steps = simulator._plan(gates, 18)
+        _, tables, steps = dense_module._plan(gates, 18)
         assert len(tables) <= len(high_control_masks(gates)) == 1
         assert len(steps) == len(gates) - 1
         assert_gathers_like_the_oracle(18, gates)
