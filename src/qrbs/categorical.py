@@ -25,14 +25,18 @@ A :class:`LogicBase` is index-backed: it holds the pair index
 the expanded logic base, so :func:`build_elb` stores only a ``range``.
 :func:`reduce_to_rlb` evaluates the constraints on bit-planes
 (:mod:`qrbs.planes`) over the pair index: each constraint is one integer
-per chunk of ``2^16`` pairs, their AND is the mask of pairs kept.
-:func:`diagnose` is a dict lookup into the base's diagnosis indices
-grouped by symptom, built once per base; ``Complex`` objects are built
-only for what is returned.
+per chunk of ``2^16`` pairs, their AND is the mask of pairs kept, and
+:func:`qrbs.planes.set_bits` decodes the mask a byte at a time into the
+kept indices, chunk offset included. :func:`diagnose` is a dict lookup
+into the base's diagnosis indices grouped by symptom, built once per
+base; each disease's verdict is read from a four-entry table by its bit
+in the group's AND and OR. ``Complex`` objects are built only for what
+is returned, and those built from indices skip the bit check.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
@@ -77,14 +81,31 @@ MAX_TOTAL_ATTRIBUTES = 20
 ANY_SYMPTOM_SHORTHAND = "any_symptom_implies_diagnosis"
 
 
-def complex_index(bits: Sequence[int]) -> int:
-    """Integer value of a bit vector, first attribute most significant."""
+# (type, value) of every valid bit; the type is part of the key because
+# 1.0 == 1 and hashes alike, so a check on the values alone lets floats in
+_BITS = frozenset((kind, value) for kind in (int, bool) for value in (0, 1))
+
+
+def _check_bits(bits: Sequence[int]) -> None:
+    try:
+        if _BITS.issuperset(zip(map(type, bits), bits)):
+            return
+    except TypeError:  # not iterable, or an unhashable bit
+        pass
+    raise ValueError(f"complex bits must be the integers 0 or 1, got {bits!r}")
+
+
+def _index(bits: Sequence[int]) -> int:
     index = 0
     for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"complex bits must be 0 or 1, got {bit!r}")
         index = index << 1 | bit
     return index
+
+
+def complex_index(bits: Sequence[int]) -> int:
+    """Integer value of a bit vector, first attribute most significant."""
+    _check_bits(bits)
+    return _index(bits)
 
 
 def index_to_complex(index: int, n: int) -> "Complex":
@@ -93,24 +114,34 @@ def index_to_complex(index: int, n: int) -> "Complex":
         raise ValueError("a complex needs at least one attribute")
     if not 0 <= index < 1 << n:
         raise ValueError(f"index {index} out of range for {n} attributes")
-    return Complex(tuple((index >> (n - 1 - i)) & 1 for i in range(n)))
+    return Complex._of(tuple([index >> b & 1 for b in range(n - 1, -1, -1)]))
 
 
 @dataclass(frozen=True)
 class Complex:
-    """One full truth assignment over a set of attributes."""
+    """One full truth assignment over a set of attributes.
+
+    ``bits`` holds the integers 0 and 1 (bools pass too); anything else,
+    ``1.0`` included, raises ``ValueError``.
+    """
 
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.bits:
             raise ValueError("a complex needs at least one attribute")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("complex bits must be 0 or 1")
+        _check_bits(self.bits)
+
+    @classmethod
+    def _of(cls, bits: tuple[int, ...]) -> Complex:
+        """A complex over bits built as ints 0 and 1, taken as they are."""
+        complex_ = cls.__new__(cls)
+        object.__setattr__(complex_, "bits", bits)
+        return complex_
 
     @property
     def index(self) -> int:
-        return complex_index(self.bits)
+        return _index(self.bits)
 
     def label(self, prefix: str) -> str:
         return f"{prefix}{self.index}"
@@ -190,16 +221,16 @@ class LogicBase:
     @cached_property
     def _diagnoses_by_symptom(self) -> dict[int, list[int]]:
         """Symptom index -> the diagnosis indices paired with it, in base order."""
-        groups: dict[int, list[int]] = {}
-        low = (1 << self.n_symptoms) - 1
+        groups: defaultdict[int, list[int]] = defaultdict(list)
+        low, ns = (1 << self.n_symptoms) - 1, self.n_symptoms
         for p in self.indices:
-            groups.setdefault(p & low, []).append(p >> self.n_symptoms)
+            groups[p & low].append(p >> ns)
         return groups
 
 
 def _complexes(n: int) -> tuple[Complex, ...]:
     """Every complex over ``n`` attributes, complex ``i`` at position ``i``."""
-    return tuple(map(Complex, product((0, 1), repeat=n)))
+    return tuple(map(Complex._of, product((0, 1), repeat=n)))
 
 
 def build_elb(
@@ -354,7 +385,7 @@ def reduce_to_rlb(
         ones, inputs = planes.input_planes(len(names), chunk)
         values = dict(zip(names, inputs))
         mask = reduce(and_, (planes.evaluate(c.expr, values, ones) for c in constraints), ones)
-        satisfying += (chunk << planes.CHUNK_BITS | j for j in planes.set_bits(mask))
+        satisfying += planes.set_bits(mask, chunk << planes.CHUNK_BITS)
     if elb.indices == range(1 << len(names)):  # in build_elb order, as satisfying is
         kept = tuple(satisfying)
     else:
@@ -372,6 +403,11 @@ class Presence(Enum):
     PRESENT = "present"
     ABSENT = "absent"
     UNCERTAIN = "uncertain"
+
+
+# A disease's verdict by its bit in the group's AND (high) and OR (low);
+# entry 2, set in the AND but clear in the OR, cannot occur.
+_LEVELS = (Presence.ABSENT, Presence.UNCERTAIN, Presence.PRESENT, Presence.PRESENT)
 
 
 @dataclass(frozen=True)
@@ -400,7 +436,8 @@ def diagnose(symptoms: Complex, logic_base: LogicBase) -> Verdict:
     The lookup is one dict access into the base's per-symptom grouping
     of diagnosis indices. Disease ``k`` is bit ``n_diagnoses - 1 - k`` of
     a diagnosis index: present if it is set in the AND of the group,
-    absent if it is clear in the OR, uncertain otherwise.
+    absent if it is clear in the OR, uncertain otherwise; the two bits
+    index the level table ``_LEVELS``.
     """
     if len(symptoms.bits) != logic_base.n_symptoms:
         raise ValueError(
@@ -411,13 +448,7 @@ def diagnose(symptoms: Complex, logic_base: LogicBase) -> Verdict:
     if not group:
         return Verdict(symptoms, (), ())
     every, some = reduce(and_, group), reduce(or_, group)
-    diseases = []
-    for b in reversed(range(logic_base.n_diagnoses)):
-        if every >> b & 1:
-            diseases.append(Presence.PRESENT)
-        elif some >> b & 1:
-            diseases.append(Presence.UNCERTAIN)
-        else:
-            diseases.append(Presence.ABSENT)
-    complexes = logic_base._diagnosis_complexes
-    return Verdict(symptoms, tuple(complexes[d] for d in group), tuple(diseases))
+    disease_bits = range(logic_base.n_diagnoses - 1, -1, -1)
+    diseases = tuple([_LEVELS[every >> b << 1 & 2 | some >> b & 1] for b in disease_bits])
+    compatible = tuple(map(logic_base._diagnosis_complexes.__getitem__, group))
+    return Verdict(symptoms, compatible, diseases)

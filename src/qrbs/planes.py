@@ -83,7 +83,17 @@ def run(circuit: Circuit, qubits: Sequence[int], ones: int) -> list[int]:
     return bits
 
 
-def set_bits(plane: int) -> list[int]:
-    """Positions of the set bits of ``plane``, ascending."""
-    text = bin(plane)[:1:-1]
-    return [j for j, bit in enumerate(text) if bit == "1"]
+# the set bits of each byte value, lowest first
+_BYTE_BITS = tuple(tuple(j for j in range(8) if byte >> j & 1) for byte in range(256))
+
+
+def set_bits(plane: int, offset: int = 0) -> list[int]:
+    """Positions of the set bits of a non-negative ``plane``, ascending, each plus ``offset``.
+
+    The plane is read a byte at a time, lowest byte first, and each
+    non-zero byte contributes the positions :data:`_BYTE_BITS` lists for
+    it; a clear bit costs nothing beyond its byte.
+    """
+    data = plane.to_bytes((plane.bit_length() + 7) >> 3, "little")
+    starts = range(offset, offset + 8 * len(data), 8)
+    return [start + j for start, byte in zip(starts, data) if byte for j in _BYTE_BITS[byte]]

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrbs.categorical import (
@@ -77,6 +77,19 @@ class TestComplexEncoding:
             Complex((0, 2))
         with pytest.raises(ValueError):
             Complex(())
+
+    @pytest.mark.parametrize(
+        "bits", [(1.0, 0.0), (1, 0.0), (0, 1.0), (1, "1"), (1, None), (1, [0]), 5]
+    )
+    def test_non_integer_bits_are_refused(self, bits):
+        # 1.0 == 1, so only the type tells these apart from valid bits
+        with pytest.raises(ValueError, match="integers 0 or 1"):
+            Complex(bits)
+        with pytest.raises(ValueError, match="integers 0 or 1"):
+            complex_index(bits)
+
+    def test_bool_bits_still_pass(self):
+        assert Complex((True, False)).index == complex_index([True, False]) == 2
 
     def test_label(self):
         assert index_to_complex(5, 3).label("S") == "S5"
@@ -285,6 +298,8 @@ def _assert_diagnoses_match(base: LogicBase, symptom_indices) -> None:
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32))
+# the benchmark's 7+7 shape: groups of up to 128 diagnoses, and all three verdicts
+@example(ns=7, nd=7, seed=3)
 def test_diagnose_equals_the_scalar_scan(ns, nd, seed):
     from conftest import random_constraints
 

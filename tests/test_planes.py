@@ -152,6 +152,28 @@ class TestRun:
             )
 
 
+def _scanned_bits(plane: int) -> list[int]:
+    """Set-bit positions by scanning the binary string: the reference for ``set_bits``."""
+    return [j for j, bit in enumerate(bin(plane)[:1:-1]) if bit == "1"]
+
+
+class TestSetBits:
+    @pytest.mark.parametrize(
+        "plane", [0, 1, 1 << 65535, (1 << 65536) - 1], ids=["zero", "one", "lone-top", "all-ones"]
+    )
+    def test_edge_planes_match_the_string_scan(self, plane):
+        assert planes.set_bits(plane) == _scanned_bits(plane)
+
+    @settings(max_examples=200)
+    @given(st.data(), st.integers(1, 300).filter(lambda width: width % 8), st.integers(0, 1 << 20))
+    def test_ragged_widths_match_the_string_scan(self, data, width, offset):
+        plane = data.draw(st.integers(1 << width - 1, (1 << width) - 1))
+        assert plane.bit_length() == width
+        reference = _scanned_bits(plane)
+        assert planes.set_bits(plane) == reference
+        assert planes.set_bits(plane, offset) == [offset + j for j in reference]
+
+
 def _scalar_rlb(elb, constraints, names) -> tuple:
     return tuple(
         (s, d)
