@@ -6,9 +6,9 @@ complexes (:mod:`qrbs.categorical`), a reversible-circuit IR with an
 OpenQASM 2.0 subset interchange (:mod:`qrbs.circuit`), a compiler from
 networks to circuits (:mod:`qrbs.compiler`), dense and basis-state
 simulation engines (:mod:`qrbs.simulator`), a bit-plane kernel that
-runs rules and circuits over every input assignment at once for
-exhaustive checks (:mod:`qrbs.planes`), and a TNM staging application
-built on all of it (:mod:`qrbs.idc`).
+runs rules and circuits over many input assignments at once for
+verification and logic-base reduction (:mod:`qrbs.planes`), and a TNM
+staging application built on all of it (:mod:`qrbs.idc`).
 
 Only the dense engine (:mod:`qrbs.dense`, loaded on the first dense
 run) and the permutation oracle (:func:`qrbs.circuit.as_permutation`)

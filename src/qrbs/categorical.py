@@ -109,7 +109,9 @@ def complex_index(bits: Sequence[int]) -> int:
 
 
 def index_to_complex(index: int, n: int) -> "Complex":
-    """Inverse of :func:`complex_index` for ``n`` attributes."""
+    """Inverse of :func:`complex_index` for ``n`` attributes; both must be ``int``."""
+    if not (isinstance(index, int) and isinstance(n, int)):
+        raise ValueError(f"index {index!r} out of range for {n!r} attributes")
     if n < 1:
         raise ValueError("a complex needs at least one attribute")
     if not 0 <= index < 1 << n:

@@ -12,12 +12,15 @@ With subexpression sharing on (the default), structurally identical
 subexpressions reuse one result qubit instead of recomputing; chains are
 flat in the AST, so how a chain was parenthesised does not matter.
 
-:func:`verify_compilation` checks a compiled circuit against the scalar
-rule evaluator on every input assignment. It runs on the bit-plane
-kernel of :mod:`qrbs.planes`: the rules and the gate list each run once
-per chunk of ``2^16`` assignments, one integer operation per connective
-or gate, and only the assignments whose bits differ are decoded, up
-to ``MAX_MISMATCHES`` of them.
+:func:`verify_compilation` checks a compiled circuit against the rules,
+on every input assignment or on a chosen list of them. Both run on the
+bit-plane kernel of :mod:`qrbs.planes`, which holds ``2^16`` assignments
+per plane: the exhaustive check takes them from
+:func:`~qrbs.planes.input_planes`, a chosen list is packed into planes by
+:func:`~qrbs.planes.pack`, and from there one loop runs the rules and the
+gate list once per batch, one integer operation per connective or gate.
+Mismatches are counted first and only the assignments whose bits differ
+are decoded, up to ``MAX_MISMATCHES`` of them, chosen list or not.
 """
 
 from __future__ import annotations
@@ -30,17 +33,13 @@ from typing import Iterable, Mapping
 from . import planes
 from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X
 from .errors import CompileError, NetworkError, VerificationError
-from .rules import (
-    And,
-    Atom,
-    BoolExpr,
-    Implies,
-    Not,
-    Or,
-    RuleNetwork,
-    evaluate_network,
-)
-from .simulator import run
+from .rules import And, Atom, BoolExpr, Implies, Not, Or, RuleNetwork, _input_bits
+
+# Verification calls neither of these; they stay importable from here because
+# perfbench/tracing.py's Tracer.install wraps compiler.evaluate_network and
+# compiler.run by name.
+from .rules import evaluate_network  # noqa: F401
+from .simulator import run  # noqa: F401
 
 __all__ = [
     "MAX_MISMATCHES",
@@ -222,7 +221,7 @@ def compile_network(
 # ---------------------------------------------------------------------------
 
 
-# Exhaustive verification refuses, with a VerificationError, to list more
+# Verification refuses, with a VerificationError, to list more
 # (assignment, output) mismatches than this.
 MAX_MISMATCHES = 10_000
 
@@ -265,16 +264,19 @@ def verify_compilation(
     """Compare circuit semantics against forward evaluation.
 
     By default every one of the ``2^k`` input assignments is checked
-    (``k`` capped at ``max_inputs``) on bit-planes, and mismatches come
-    by assignment word (bit ``i`` is input ``i``) ascending, then in
-    ``output_map`` order. Pass ``assignments`` to check a chosen subset
-    instead, one at a time with the scalar evaluator and the fast
-    engine; the report is the same for the same assignments. Ancillae
-    start at 0, as in a real run.
+    (``k`` capped at ``max_inputs``), and mismatches come by assignment
+    word (bit ``i`` is input ``i``) ascending, then in ``output_map``
+    order. Pass ``assignments`` to check a chosen list instead:
+    mismatches then come in list order, a repeated assignment is
+    reported again, and a missing or unknown input fact raises the
+    :class:`NetworkError` of :func:`~qrbs.rules.evaluate_network`.
+    Either way the rules and the circuit run on bit-planes, ancillae
+    start at 0, as in a real run, and a mismatch lists its assignment's
+    values as 0 or 1.
 
-    The exhaustive check counts the mismatches before it decodes any,
-    and raises :class:`VerificationError` with the count when there are
-    more than ``MAX_MISMATCHES``.
+    Mismatches are counted before any is decoded; with more than
+    ``MAX_MISMATCHES`` of them, a :class:`VerificationError` with the
+    count is raised instead of a report.
     """
     facts = network.input_facts
     if assignments is None:
@@ -282,38 +284,14 @@ def verify_compilation(
             raise CompileError(
                 f"exhaustive verification capped at {max_inputs} inputs, got {len(facts)}"
             )
-        return _verify_exhaustive(network, compiled)
+        batches = (planes.input_planes(len(facts), chunk) for chunk in planes.chunks(len(facts)))
+    else:
+        batches = planes.pack(_input_bits(network, assignment) for assignment in assignments)
 
-    mismatches: list[Mismatch] = []
-    checked = 0
-    for assignment in assignments:
-        checked += 1
-        expected = evaluate_network(network, assignment)
-        initial = 0
-        for fact, bit in assignment.items():
-            if bit:
-                initial |= 1 << compiled.input_map[fact]
-        result = run(compiled.circuit, initial, engine="fast")
-        for fact, (_, clbit) in compiled.output_map.items():
-            if result.bits[clbit] != expected[fact]:
-                mismatches.append(
-                    Mismatch(
-                        tuple(sorted(assignment.items())),
-                        fact,
-                        expected[fact],
-                        result.bits[clbit],
-                    )
-                )
-    return VerificationReport(checked, tuple(mismatches))
-
-
-def _verify_exhaustive(network: RuleNetwork, compiled: CompiledCircuit) -> VerificationReport:
-    facts = network.input_facts
-    by_name = sorted((fact, i) for i, fact in enumerate(facts))  # a Mismatch lists facts sorted
-    wrong_chunks = []  # (chunk, expected planes, wrong planes) of the chunks with a mismatch
-    count = 0
-    for chunk in planes.chunks(len(facts)):
-        ones, inputs = planes.input_planes(len(facts), chunk)
+    wrong_batches = []  # (ones, input, expected and wrong planes) of the batches with a mismatch
+    checked = count = 0
+    for ones, inputs in batches:
+        checked += ones.bit_length()
         values = dict(zip(facts, inputs))
         for rule in network.ordered_rules:
             values[rule.consequent] = planes.evaluate(rule.antecedent, values, ones)
@@ -329,19 +307,22 @@ def _verify_exhaustive(network: RuleNetwork, compiled: CompiledCircuit) -> Verif
         found = sum(plane.bit_count() for plane in wrong.values())
         count += found
         if found and count <= MAX_MISMATCHES:
-            wrong_chunks.append((chunk, expected, wrong))
+            wrong_batches.append((ones, inputs, expected, wrong))
     if count > MAX_MISMATCHES:
         raise VerificationError(
-            f"{count} mismatches over {1 << len(facts)} assignments, "
+            f"{count} mismatches over {checked} assignments, "
             f"more than the {MAX_MISMATCHES} a report lists"
         )
+    by_name = sorted((fact, i) for i, fact in enumerate(facts))  # a Mismatch lists facts sorted
     mismatches: list[Mismatch] = []
-    for chunk, expected, wrong in wrong_chunks:
+    for ones, inputs, expected, wrong in wrong_batches:
+        # bit j of an input plane is bit j % 8 of its byte j // 8: no big-int shift per input
+        size = (ones.bit_length() + 7) >> 3
+        given = [(fact, inputs[i].to_bytes(size, "little")) for fact, i in by_name]
         for j in planes.set_bits(reduce(or_, wrong.values())):
-            word = chunk << planes.CHUNK_BITS | j
-            assignment = tuple((fact, word >> i & 1) for fact, i in by_name)
+            assignment = tuple((fact, data[j >> 3] >> (j & 7) & 1) for fact, data in given)
             for fact, plane in wrong.items():
                 if plane >> j & 1:
                     bit = expected[fact] >> j & 1
                     mismatches.append(Mismatch(assignment, fact, bit, bit ^ 1))
-    return VerificationReport(1 << len(facts), tuple(mismatches))
+    return VerificationReport(checked, tuple(mismatches))

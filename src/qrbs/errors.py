@@ -46,7 +46,7 @@ class CompileError(QrbsError):
 
 
 class VerificationError(QrbsError):
-    """Exhaustive verification found more mismatches than a report lists."""
+    """Verification found more mismatches than a report lists."""
 
 
 class SimulationError(QrbsError):

@@ -17,6 +17,7 @@ medical advice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -151,9 +152,13 @@ def tnm_to_input_qubit(tnm: TnmClass) -> int:
 class ClinicalFindings:
     """Raw examination findings feeding TNM classification.
 
-    ``node_cluster_mm`` (small node cell clusters) must come with some
-    nodal finding; it is carried for the record but cannot change the
-    classification, whose node vocabulary only counts involved nodes.
+    Sizes are finite non-negative numbers or ``None``, the node count is
+    a non-negative ``int`` and the flags are ``bool`` (a ``bool`` is
+    neither a size nor a count); anything else raises ``ValueError``
+    naming the field. ``node_cluster_mm`` (small node cell clusters)
+    must come with some nodal finding; it is carried for the record but
+    cannot change the classification, whose node vocabulary only counts
+    involved nodes.
     """
 
     tumour_size_mm: float | None = None
@@ -165,15 +170,30 @@ class ClinicalFindings:
     distant_metastasis: bool = False
 
     def __post_init__(self) -> None:
-        if self.tumour_size_mm is not None and self.tumour_size_mm < 0:
-            raise ValueError("tumour size cannot be negative")
-        if self.axillary_nodes_involved < 0:
-            raise ValueError("node count cannot be negative")
-        if self.node_cluster_mm is not None:
-            if self.node_cluster_mm < 0:
-                raise ValueError("node cluster size cannot be negative")
-            if not self._has_nodal_finding():
-                raise ValueError("node_cluster_mm given without any nodal finding")
+        for name in ("tumour_size_mm", "node_cluster_mm"):
+            size = getattr(self, name)
+            if size is not None and not (
+                isinstance(size, (int, float))
+                and not isinstance(size, bool)
+                and 0 <= size < math.inf
+            ):
+                raise ValueError(f"{name} must be a finite non-negative number, got {size!r}")
+        nodes = self.axillary_nodes_involved
+        if not (isinstance(nodes, int) and not isinstance(nodes, bool) and nodes >= 0):
+            raise ValueError(
+                f"axillary_nodes_involved must be a non-negative whole number, got {nodes!r}"
+            )
+        for name in (
+            "chest_wall_or_skin_spread",
+            "supra_or_infraclavicular_nodes",
+            "internal_mammary_nodes",
+            "distant_metastasis",
+        ):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise ValueError(f"{name} must be true or false, got {flag!r}")
+        if self.node_cluster_mm is not None and not self._has_nodal_finding():
+            raise ValueError("node_cluster_mm given without any nodal finding")
 
     def _has_nodal_finding(self) -> bool:
         return bool(
@@ -184,6 +204,8 @@ class ClinicalFindings:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ClinicalFindings":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"findings must be a mapping of fields, got {type(data).__name__}")
         fields = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - fields
         if unknown:

@@ -7,17 +7,19 @@ then acts on all assignments of the chunk with one integer operation
 covers ``2^CHUNK_BITS`` assignments: word ``chunk << CHUNK_BITS | j``
 for bit ``j``. Inputs below ``CHUNK_BITS`` get fixed stripe patterns and
 inputs above it are all zeros or all ones within a chunk, so memory
-stays flat at any input count.
+stays flat at any input count. :func:`pack` builds the same planes from
+chosen rows instead, ``2^CHUNK_BITS`` rows at a time.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import islice
 from operator import and_, or_
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .circuit import CCNOT, CNOT, Circuit, Measure, X
-from .errors import NetworkError
+from .errors import NetworkError, SimulationError
 from .rules import And, Atom, BoolExpr, Implies, Not, Or
 
 CHUNK_BITS = 16
@@ -48,6 +50,22 @@ def input_planes(num_inputs: int, chunk: int) -> tuple[int, list[int]]:
     return ones, planes
 
 
+# a column's 0/1 values as bytes -> the ASCII digits int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def pack(rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, list[int]]]:
+    """Rows of 0/1 bits, ``2^CHUNK_BITS`` at a time, as planes: row ``j`` is bit ``j``.
+
+    Yields, per batch, the all-ones plane over the batch's rows and one
+    plane per column; every row must have the same length.
+    """
+    rows = iter(rows)
+    while batch := list(islice(rows, 1 << CHUNK_BITS)):
+        columns = [int(bytes(column[::-1]).translate(_DIGITS), 2) for column in zip(*batch)]
+        yield (1 << len(batch)) - 1, columns
+
+
 def evaluate(expr: BoolExpr, planes: Mapping[str, int], ones: int) -> int:
     """The plane of ``expr``; the bit-sliced twin of :func:`qrbs.rules.evaluate_expr`."""
     match expr:
@@ -67,19 +85,31 @@ def evaluate(expr: BoolExpr, planes: Mapping[str, int], ones: int) -> int:
 
 
 def run(circuit: Circuit, qubits: Sequence[int], ones: int) -> list[int]:
-    """Run ``circuit`` from per-qubit planes; returns one plane per classical bit."""
+    """Run ``circuit`` from one plane per qubit; returns one plane per classical bit.
+
+    Raises the fast engine's :class:`SimulationError` for an object that
+    is not a gate and for a gate beyond the registers.
+    """
     q = list(qubits)
     bits = [0] * circuit.num_clbits
-    for gate in circuit.gates:
-        match gate:
-            case X(target):
-                q[target] ^= ones
-            case CNOT(control, target):
-                q[target] ^= q[control]
-            case CCNOT(control1, control2, target):
-                q[target] ^= q[control1] & q[control2]
-            case Measure(qubit, clbit):
-                bits[clbit] = q[qubit]
+    try:
+        for gate in circuit.gates:
+            match gate:
+                case X(target):
+                    q[target] ^= ones
+                case CNOT(control, target):
+                    q[target] ^= q[control]
+                case CCNOT(control1, control2, target):
+                    q[target] ^= q[control1] & q[control2]
+                case Measure(qubit, clbit):
+                    bits[clbit] = q[qubit]
+                case _:
+                    raise SimulationError(f"not a gate: {gate!r}")
+    except IndexError:
+        registers = f"{circuit.num_qubits} qubits"
+        if isinstance(gate, Measure):
+            registers += f" and {circuit.num_clbits} classical bits"
+        raise SimulationError(f"gate {gate!r} out of range for {registers}") from None
     return bits
 
 

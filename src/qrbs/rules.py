@@ -279,15 +279,20 @@ def _find_cycle(pending: Mapping[str, Iterable[str]]) -> tuple[str, ...]:
     return tuple(path[position[node] :])
 
 
-def evaluate_network(network: RuleNetwork, inputs: Mapping[str, int]) -> dict[str, int]:
-    """Forward-evaluate the whole network; returns a bit for every fact."""
+def _input_bits(network: RuleNetwork, inputs: Mapping[str, int]) -> tuple[int, ...]:
+    """``inputs`` as 0/1 bits in ``network.input_facts`` order, every fact given once."""
     for fact in network.input_facts:
         if fact not in inputs:
             raise NetworkError(f"missing input bit for {fact!r}")
     unknown = set(inputs) - set(network.input_facts)
     if unknown:
         raise NetworkError(f"unknown input fact {sorted(unknown)[0]!r}")
-    values = {fact: (1 if inputs[fact] else 0) for fact in network.input_facts}
+    return tuple(1 if inputs[fact] else 0 for fact in network.input_facts)
+
+
+def evaluate_network(network: RuleNetwork, inputs: Mapping[str, int]) -> dict[str, int]:
+    """Forward-evaluate the whole network; returns a bit for every fact."""
+    values = dict(zip(network.input_facts, _input_bits(network, inputs)))
     for rule in network.ordered_rules:
         values[rule.consequent] = evaluate_expr(rule.antecedent, values)
     return values

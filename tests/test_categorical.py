@@ -72,6 +72,11 @@ class TestComplexEncoding:
         with pytest.raises(ValueError, match="out of range"):
             index_to_complex(-1, 3)
 
+    @pytest.mark.parametrize("index, n", [(1.0, 3), (1, 3.0), (1, "3"), (None, 3)])
+    def test_a_non_int_index_or_width_is_refused_like_out_of_range(self, index, n):
+        with pytest.raises(ValueError, match="out of range"):
+            index_to_complex(index, n)
+
     def test_bad_bits(self):
         with pytest.raises(ValueError):
             Complex((0, 2))

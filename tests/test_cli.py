@@ -80,6 +80,28 @@ class TestStage:
         assert code == 1
         assert "unknown findings field" in err
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"tumour_size_mm": "12"}', "tumour_size_mm"),
+            ('{"axillary_nodes_involved": null}', "axillary_nodes_involved"),
+            ('[{"tumour_size_mm": 12}]', "mapping"),
+            ("7", "mapping"),
+            ('{"distant_metastasis": "no", "tumour_size_mm": 10}', "distant_metastasis"),
+            ('{"tumour_size_mm": NaN}', "tumour_size_mm"),
+            ('{"tumour_size_mm": Infinity}', "tumour_size_mm"),
+            ('{"tumour_size_mm": true}', "tumour_size_mm"),
+            ('{"tumour_size_mm": 10, "axillary_nodes_involved": 2.5}', "axillary_nodes_involved"),
+            ('{"axillary_nodes_involved": 1, "node_cluster_mm": -Infinity}', "node_cluster_mm"),
+        ],
+    )
+    def test_findings_of_the_wrong_type_are_refused(self, capsys, tmp_path, text, named):
+        findings = tmp_path / "findings.json"
+        findings.write_text(text)
+        code, out, err = run_cli(capsys, "stage", "--findings", str(findings))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and named in err
+
     def test_statevector_engine(self, capsys):
         code, out, _ = run_cli(capsys, "stage", "--tnm", "T1,N0,M0", "--engine", "statevector")
         assert code == 0

@@ -41,6 +41,9 @@ def test_fast_path_runs_with_numpy_blocked():
         assert qrbs.import_qasm(qrbs.export_qasm(compiled.circuit)) == compiled.circuit
         report = qrbs.verify_compilation(network, compiled)
         assert report.ok and report.assignments_checked == 8
+        chosen = [{"A": 1, "B": 1, "C": 0}, {"A": 0, "B": 1, "C": 1}]
+        report = qrbs.verify_compilation(network, compiled, assignments=chosen)
+        assert report.ok and report.assignments_checked == 2
 
         with open(sys.argv[1]) as fh:
             symptoms, diagnoses, constraints = qrbs.parse_constraints(fh.read()).resolve()
