@@ -52,7 +52,7 @@ class CNOT:
     target: int
 
     def __post_init__(self) -> None:
-        if min(self.control, self.target) < 0:
+        if self.control < 0 or self.target < 0:
             raise CircuitError("negative qubit index")
         if self.control == self.target:
             raise CircuitError(f"control equals target (qubit {self.target})")
@@ -65,10 +65,11 @@ class CCNOT:
     target: int
 
     def __post_init__(self) -> None:
-        qubits = (self.control1, self.control2, self.target)
-        if min(qubits) < 0:
+        control1, control2, target = self.control1, self.control2, self.target
+        if control1 < 0 or control2 < 0 or target < 0:
             raise CircuitError("negative qubit index")
-        if len(set(qubits)) != 3:
+        if control1 == control2 or control1 == target or control2 == target:
+            qubits = (control1, control2, target)
             raise CircuitError(f"controls and target must be pairwise distinct, got {qubits}")
 
 
@@ -86,15 +87,15 @@ Gate = X | CNOT | CCNOT | Measure
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
-    match gate:
-        case X(target):
-            return (target,)
-        case CNOT(control, target):
-            return (control, target)
-        case CCNOT(control1, control2, target):
-            return (control1, control2, target)
-        case Measure(qubit, _):
-            return (qubit,)
+    kind = type(gate)
+    if kind is CCNOT:
+        return (gate.control1, gate.control2, gate.target)
+    if kind is CNOT:
+        return (gate.control, gate.target)
+    if kind is X:
+        return (gate.target,)
+    if kind is Measure:
+        return (gate.qubit,)
     raise TypeError(f"not a gate: {gate!r}")
 
 
@@ -125,12 +126,13 @@ class Circuit:
         self._written_clbits: set[int] = set()
 
     def append(self, gate: Gate) -> "Circuit":
-        for qubit in gate_qubits(gate):
+        qubits = gate_qubits(gate)
+        for qubit in qubits:
             if qubit >= self.num_qubits:
                 raise CircuitError(
                     f"qubit {qubit} out of range for a {self.num_qubits}-qubit circuit"
                 )
-        if isinstance(gate, Measure):
+        if type(gate) is Measure:
             if gate.clbit >= self.num_clbits:
                 raise CircuitError(
                     f"classical bit {gate.clbit} out of range "
@@ -140,12 +142,9 @@ class Circuit:
                 raise CircuitError(f"classical bit {gate.clbit} already written")
             self._written_clbits.add(gate.clbit)
             self._measured.add(gate.qubit)
-        else:
-            touched = self._measured.intersection(gate_qubits(gate))
-            if touched:
-                raise CircuitError(
-                    f"unitary gate on qubit {min(touched)} after it was measured"
-                )
+        elif not self._measured.isdisjoint(qubits):
+            touched = self._measured.intersection(qubits)
+            raise CircuitError(f"unitary gate on qubit {min(touched)} after it was measured")
         self.gates.append(gate)
         return self
 
@@ -259,16 +258,23 @@ def export_qasm(circuit: Circuit) -> str:
 # Largest qreg/creg size import_qasm accepts; compiled networks stay far below it.
 MAX_REGISTER = 1 << 20
 
-_QASM_REG_RE = re.compile(r"(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\Z")
+_MAX_DIGITS = len(str(MAX_REGISTER))
+
+# The statements import_qasm reads, as one pattern: a register declaration
+# (groups 1-3), a gate (groups 4-5) or a measurement (groups 6-7).
+_QASM_STATEMENT_RE = re.compile(
+    r"(?:(qreg|creg)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]"
+    r"|(x|cx|ccx)\s+(.+)"
+    r"|measure\s+(.+?)\s*->\s*(.+))\Z"
+)
 _QASM_REF_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\Z")
-_QASM_GATE_RE = re.compile(r"(x|cx|ccx)\s+(.+)\Z")
-_QASM_MEASURE_RE = re.compile(r"measure\s+(.+?)\s*->\s*(.+)\Z")
+_QASM_GATES = {"x": (X, 1), "cx": (CNOT, 2), "ccx": (CCNOT, 3)}  # name -> (gate, arity)
 
 
 def _qasm_number(digits: str, what: str) -> int:
     # int() of a long enough digit string raises a bare ValueError (and is slow), so
     # anything with more digits than MAX_REGISTER is refused before converting
-    if len(digits.lstrip("0")) > len(str(MAX_REGISTER)):
+    if len(digits.lstrip("0")) > _MAX_DIGITS:
         shown = digits if len(digits) <= 24 else digits[:20] + "..."
         raise QasmError(
             f"{what} {shown} ({len(digits)} digits) exceeds the limit of {MAX_REGISTER}"
@@ -276,72 +282,65 @@ def _qasm_number(digits: str, what: str) -> int:
     return int(digits)
 
 
+class _References(dict):
+    """Reference text -> index in one register, for one import.
+
+    A text is parsed and checked once, on first use; only references to a
+    declared register get in, and a register, once declared, cannot change.
+    """
+
+    def __init__(self, what: str):
+        super().__init__()
+        self.what = what  # "qubit" or "classical bit", for messages
+        self.register: tuple[str, int] | None = None  # (name, size) once declared
+
+    def __missing__(self, token: str) -> int:
+        text = token.strip()
+        match = _QASM_REF_RE.match(text)
+        if not match or self.register is None or match[1] != self.register[0]:
+            raise QasmError(f"bad {self.what} reference {text!r}")
+        index = self[token] = _qasm_number(match[2], f"{self.what} index")
+        return index
+
+
 def import_qasm(text: str) -> Circuit:
     """Parse the exporter's OpenQASM subset back into a :class:`Circuit`."""
-    qreg: tuple[str, int] | None = None
-    creg: tuple[str, int] | None = None
+    qubits = _References("qubit")
+    clbits = _References("classical bit")
     pending: list[Gate] = []
 
-    def qubit_ref(token: str) -> int:
-        match = _QASM_REF_RE.match(token.strip())
-        if not match or qreg is None or match.group(1) != qreg[0]:
-            raise QasmError(f"bad qubit reference {token.strip()!r}")
-        return _qasm_number(match.group(2), "qubit index")
-
-    def clbit_ref(token: str) -> int:
-        match = _QASM_REF_RE.match(token.strip())
-        if not match or creg is None or match.group(1) != creg[0]:
-            raise QasmError(f"bad classical bit reference {token.strip()!r}")
-        return _qasm_number(match.group(2), "classical bit index")
-
-    statements = []
-    for raw in text.splitlines():
-        line = raw.split("//", 1)[0].strip()
-        if not line:
-            continue
-        statements.extend(part.strip() for part in line.split(";") if part.strip())
-
+    code = (raw.split("//", 1)[0] for raw in text.splitlines())  # '//' starts a comment
+    statements = list(filter(None, [part.strip() for line in code for part in line.split(";")]))
     if not statements or statements[0] != "OPENQASM 2.0":
         raise QasmError("missing OPENQASM 2.0 header")
     for statement in statements[1:]:
-        if statement.startswith("include"):
-            continue
-        reg = _QASM_REG_RE.match(statement)
-        if reg:
-            kind, name = reg.group(1), reg.group(2)
-            size = _qasm_number(reg.group(3), f"{kind} size")
+        match = _QASM_STATEMENT_RE.match(statement)
+        if match is None:
+            if statement.startswith("include"):
+                continue
+            raise QasmError(f"unsupported statement {statement!r}")
+        group = match.lastindex
+        if group == 5:
+            args = list(map(qubits.__getitem__, match[5].split(",")))
+            gate, arity = _QASM_GATES[match[4]]
+            if len(args) != arity:
+                raise QasmError(f"wrong argument count in {statement!r}")
+            pending.append(gate(*args))
+        elif group == 7:
+            pending.append(Measure(qubits[match[6]], clbits[match[7]]))
+        else:
+            kind, name = match[1], match[2]
+            size = _qasm_number(match[3], f"{kind} size")
             if size > MAX_REGISTER:
                 raise QasmError(f"{kind} of size {size} exceeds the limit of {MAX_REGISTER}")
-            if kind == "qreg":
-                if qreg is not None:
-                    raise QasmError("multiple quantum registers are not supported")
-                qreg = (name, size)
-            else:
-                if creg is not None:
-                    raise QasmError("multiple classical registers are not supported")
-                creg = (name, size)
-            continue
-        gate = _QASM_GATE_RE.match(statement)
-        if gate:
-            args = [qubit_ref(a) for a in gate.group(2).split(",")]
-            name = gate.group(1)
-            if name == "x" and len(args) == 1:
-                pending.append(X(args[0]))
-            elif name == "cx" and len(args) == 2:
-                pending.append(CNOT(args[0], args[1]))
-            elif name == "ccx" and len(args) == 3:
-                pending.append(CCNOT(args[0], args[1], args[2]))
-            else:
-                raise QasmError(f"wrong argument count in {statement!r}")
-            continue
-        measure = _QASM_MEASURE_RE.match(statement)
-        if measure:
-            pending.append(Measure(qubit_ref(measure.group(1)), clbit_ref(measure.group(2))))
-            continue
-        raise QasmError(f"unsupported statement {statement!r}")
+            refs = qubits if kind == "qreg" else clbits
+            if refs.register is not None:
+                which = "quantum" if kind == "qreg" else "classical"
+                raise QasmError(f"multiple {which} registers are not supported")
+            refs.register = (name, size)
 
-    if qreg is None:
+    if qubits.register is None:
         raise QasmError("no quantum register declared")
-    circuit = Circuit(qreg[1], creg[1] if creg else 0)
+    circuit = Circuit(qubits.register[1], clbits.register[1] if clbits.register else 0)
     circuit.extend(pending)
     return circuit

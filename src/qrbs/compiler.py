@@ -108,27 +108,27 @@ class CompileContext:
 
 def compile_expr(expr: BoolExpr, context: CompileContext) -> int:
     """Emit gates computing ``expr`` and return the qubit holding the result."""
-    match expr:
-        case Atom(name):
-            if name not in context.fact_qubits:
-                raise NetworkError(f"atom {name!r} is not bound to a qubit")
-            return context.fact_qubits[name]
-        case Not(operand):
-            source = compile_expr(operand, context)
-            key = ("not", source)
-            if (hit := context._shared(key)) is not None:
-                return hit
-            target = context.fresh()
-            context.gates.append(CNOT(source, target))
-            context.gates.append(X(target))
-            context._memo[key] = target
-            return target
-        case And(operands) | Or(operands):
-            kind = "and" if isinstance(expr, And) else "or"
-            qubits = [compile_expr(op, context) for op in operands]
-            return reduce(lambda qa, qb: _emit_pair(kind, qa, qb, context), qubits)
-        case Implies(left, right):
-            return compile_expr(Or(Not(left), right), context)
+    kind = type(expr)
+    if kind is Atom:
+        if expr.name not in context.fact_qubits:
+            raise NetworkError(f"atom {expr.name!r} is not bound to a qubit")
+        return context.fact_qubits[expr.name]
+    if kind is And or kind is Or:
+        connective = "and" if kind is And else "or"
+        qubits = [compile_expr(op, context) for op in expr.operands]
+        return reduce(lambda qa, qb: _emit_pair(connective, qa, qb, context), qubits)
+    if kind is Not:
+        source = compile_expr(expr.operand, context)
+        key = ("not", source)
+        if (hit := context._shared(key)) is not None:
+            return hit
+        target = context.fresh()
+        context.gates.append(CNOT(source, target))
+        context.gates.append(X(target))
+        context._memo[key] = target
+        return target
+    if kind is Implies:
+        return compile_expr(Or(Not(expr.left), expr.right), context)
     raise TypeError(f"not a boolean expression: {expr!r}")
 
 
@@ -255,6 +255,33 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _check_maps(network: RuleNetwork, compiled: CompiledCircuit) -> None:
+    """Refuse maps that verification cannot read.
+
+    Every input fact needs a qubit of the circuit, and every output a fact
+    of the network and a classical bit of the circuit.
+    """
+    num_qubits, num_clbits = compiled.circuit.num_qubits, compiled.circuit.num_clbits
+    for fact in network.input_facts:
+        if fact not in compiled.input_map:
+            raise CompileError(f"input fact {fact!r} has no qubit in the input map")
+        qubit = compiled.input_map[fact]
+        if not 0 <= qubit < num_qubits:
+            raise CompileError(
+                f"input map puts {fact!r} on qubit {qubit}, "
+                f"outside the {num_qubits}-qubit circuit"
+            )
+    known = set(network.input_facts).union(network.consequents)
+    for fact, (_, clbit) in compiled.output_map.items():
+        if fact not in known:
+            raise CompileError(f"output map names {fact!r}, which is no fact of the network")
+        if not 0 <= clbit < num_clbits:
+            raise CompileError(
+                f"output map reads {fact!r} from classical bit {clbit}, "
+                f"outside the {num_clbits} classical bits"
+            )
+
+
 def verify_compilation(
     network: RuleNetwork,
     compiled: CompiledCircuit,
@@ -274,10 +301,15 @@ def verify_compilation(
     start at 0, as in a real run, and a mismatch lists its assignment's
     values as 0 or 1.
 
+    A :class:`CompileError` refuses an ``input_map`` that misses an input
+    fact or leaves the qubits, and an ``output_map`` that names a fact the
+    network lacks or leaves the classical bits.
+
     Mismatches are counted before any is decoded; with more than
     ``MAX_MISMATCHES`` of them, a :class:`VerificationError` with the
     count is raised instead of a report.
     """
+    _check_maps(network, compiled)
     facts = network.input_facts
     if assignments is None:
         if len(facts) > max_inputs:

@@ -42,7 +42,11 @@ class QasmError(QrbsError):
 
 
 class CompileError(QrbsError):
-    """Lowering failed, e.g. the ancilla budget was exceeded."""
+    """Lowering failed, or a compiled circuit does not fit its network.
+
+    E.g. the ancilla budget was exceeded, or an input map puts a fact on a
+    qubit beyond the circuit.
+    """
 
 
 class VerificationError(QrbsError):

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import heapq
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CycleError, DslSyntaxError, NetworkError
 
@@ -123,23 +122,20 @@ def _check_fact_name(name: str) -> str:
 def atom_names(expr: BoolExpr) -> tuple[str, ...]:
     """All atom names in ``expr``, deduplicated, in first-occurrence order."""
     names: dict[str, None] = {}  # an insertion-ordered set
-
-    def walk(node: BoolExpr) -> None:
-        match node:
-            case Atom(name):
-                names[name] = None
-            case Not(operand):
-                walk(operand)
-            case And(operands) | Or(operands):
-                for operand in operands:
-                    walk(operand)
-            case Implies(left, right):
-                walk(left)
-                walk(right)
-            case _:
-                raise TypeError(f"not a boolean expression: {node!r}")
-
-    walk(expr)
+    stack = [expr]  # operands pushed last-first, so they pop in order
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Atom:
+            names[node.name] = None
+        elif kind is And or kind is Or:
+            stack.extend(reversed(node.operands))
+        elif kind is Not:
+            stack.append(node.operand)
+        elif kind is Implies:
+            stack += (node.right, node.left)
+        else:
+            raise TypeError(f"not a boolean expression: {node!r}")
     return tuple(names)
 
 
@@ -216,8 +212,9 @@ class RuleNetwork:
         if set(self.input_facts) & consequents:
             clash = sorted(set(self.input_facts) & consequents)[0]
             raise NetworkError(f"fact {clash!r} is both an input and a consequent")
-        for rule in self.rules:
-            for atom in atom_names(rule.antecedent):
+        rule_atoms = [atom_names(rule.antecedent) for rule in self.rules]
+        for rule, atoms in zip(self.rules, rule_atoms):
+            for atom in atoms:
                 if atom not in known:
                     raise NetworkError(f"unknown atom {atom!r} in rule for {rule.consequent!r}")
         if len(set(self.outputs)) != len(self.outputs):
@@ -225,7 +222,7 @@ class RuleNetwork:
         for fact in self.outputs:
             if fact not in known:
                 raise NetworkError(f"unknown output fact {fact!r}")
-        object.__setattr__(self, "ordered_rules", _order_rules(self))  # or CycleError
+        object.__setattr__(self, "ordered_rules", _order_rules(self, rule_atoms))  # or CycleError
 
     @property
     def consequents(self) -> tuple[str, ...]:
@@ -238,15 +235,14 @@ def topological_order(network: RuleNetwork) -> tuple[str, ...]:
     Deterministic: inputs keep declaration order, and among the rules
     ready at each step the earliest-declared one goes first.
     """
-    return network.input_facts + tuple(rule.consequent for rule in _order_rules(network))
+    return network.input_facts + tuple(rule.consequent for rule in network.ordered_rules)
 
 
-def _order_rules(network: RuleNetwork) -> tuple[Rule, ...]:
-    """The rules in :func:`topological_order`; each antecedent is walked once."""
+def _order_rules(network: RuleNetwork, rule_atoms: Iterable[Iterable[str]]) -> tuple[Rule, ...]:
+    """The rules in :func:`topological_order`, given each rule's antecedent atoms."""
     inputs = set(network.input_facts)
     missing = [  # per rule, its unresolved atoms as an insertion-ordered set
-        dict.fromkeys(a for a in atom_names(rule.antecedent) if a not in inputs)
-        for rule in network.rules
+        dict.fromkeys(a for a in atoms if a not in inputs) for atoms in rule_atoms
     ]
     waiting: dict[str, list[int]] = {}  # fact -> the rules missing it
     for i, atoms in enumerate(missing):
@@ -302,36 +298,45 @@ def evaluate_network(network: RuleNetwork, inputs: Mapping[str, int]) -> dict[st
 # DSL lexer and parser
 # ---------------------------------------------------------------------------
 
-# '-' is an identifier character unless it starts the arrow '->'.
-_TOKEN_RE = re.compile(r"->|=>|(?:[A-Za-z0-9_]|-(?!>))+|[!&|(),:]")
-_PUNCTUATION = {"->", "=>", "!", "&", "|", "(", ")", ",", ":"}
+# Scans a line into (blanks, fact name, other) triples, where other is
+# punctuation or a character that is an error; '-' is a name character
+# unless it starts the arrow '->'.
+_SCANNER = re.compile(r"([ \t]*)(?:((?:[A-Za-z0-9_]+|-(?!>))+)|(->|=>|[!&|(),:]|[^ \t]))")
+_PUNCTUATION = frozenset(("->", "=>", "!", "&", "|", "(", ")", ",", ":"))
 
 # Deepest nesting of '!', '(' and '=>' one expression may have (see the
 # module docstring).
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" or the punctuation text itself
+class _Token(NamedTuple):
+    kind: str  # "ident", the punctuation text itself, or "end" for _END
     text: str
-    column: int  # 1-based
+    column: int | None  # 1-based; None only for _END
+
+
+# Builds a _Token from a (kind, text, column) tuple; it skips the argument
+# handling of _Token(kind, text, column), which costs more than the tuple.
+_new_token = tuple.__new__
+
+# Closes every token list the parser reads, so looking ahead needs no bounds check.
+_END = _Token("end", "", None)
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(line):
-        if line[pos] in " \t":
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(line, pos)
-        if match is None:
-            raise DslSyntaxError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-        text = match.group()
-        kind = text if text in _PUNCTUATION else "ident"
-        tokens.append(_Token(kind, text, pos + 1))
-        pos = match.end()
+    column = 1
+    # only blanks at the end of the line go unmatched, so the columns add up
+    for blanks, name, other in _SCANNER.findall(line):
+        column += len(blanks)
+        if name:
+            tokens.append(_new_token(_Token, ("ident", name, column)))
+            column += len(name)
+        elif other in _PUNCTUATION:
+            tokens.append(_new_token(_Token, (other, other, column)))
+            column += len(other)
+        else:
+            raise DslSyntaxError(f"unexpected character {other!r}", lineno, column)
     return tokens
 
 
@@ -341,104 +346,116 @@ class _ExprParser:
     Grammar: expr = or {"=>" expr} (constraint mode only);
     or = and {"|" and}; and = factor {"&" factor};
     factor = "!" factor | "(" expr ")" | ident.
+
+    ``atoms`` collects the fact names read as atoms, deduplicated, in
+    first-occurrence order: what :func:`atom_names` gives for the
+    expressions parsed so far.
     """
 
     def __init__(self, tokens: list[_Token], lineno: int, allow_implies: bool = False):
-        self.tokens = tokens
+        self.tokens = [*tokens, _END]
         self.pos = 0
         self.lineno = lineno
         self.allow_implies = allow_implies
         self.depth = 0
+        self.atoms: dict[str, None] = {}  # an insertion-ordered set
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> _Token:
+        """The next token, or :data:`_END` at the end of the line."""
+        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
-        token = self.peek()
-        if token is None:
+        token = self.tokens[self.pos]
+        if token is _END:
             raise DslSyntaxError("unexpected end of line", self.lineno)
         self.pos += 1
         return token
 
     def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token is None or token.kind != kind:
+        token = self.tokens[self.pos]
+        if token.kind != kind:
             self.fail(f"expected {kind!r}")
-        return self.advance()
+        self.pos += 1
+        return token
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos] is _END
 
     def fail(self, message: str) -> None:
-        token = self.peek()
-        column = token.column if token else None
-        if token is not None:
-            message += f", got {token.text!r}"
-        raise DslSyntaxError(message, self.lineno, column)
+        token = self.tokens[self.pos]
+        if token is _END:
+            raise DslSyntaxError(message, self.lineno)
+        raise DslSyntaxError(f"{message}, got {token.text!r}", self.lineno, token.column)
 
-    @contextmanager
-    def nested(self, token: _Token) -> Iterator[None]:
-        """Consume ``token`` and count one nesting level for its operand."""
-        self.advance()
+    def descend(self, token: _Token) -> None:
+        """Consume ``token`` and count one nesting level; the caller counts it back."""
+        self.pos += 1
         self.depth += 1
         if self.depth > MAX_DEPTH:
             message = f"expression nested deeper than {MAX_DEPTH} levels"
             raise DslSyntaxError(message, self.lineno, token.column)
-        yield
-        self.depth -= 1
 
     def expr(self) -> BoolExpr:
         left = self.or_expr()
-        token = self.peek()
-        if token is not None and token.kind == "=>":
-            if not self.allow_implies:
-                raise DslSyntaxError(
-                    "'=>' is only allowed in constraint files", self.lineno, token.column
-                )
-            with self.nested(token):
-                return Implies(left, self.expr())  # right-associative
-        return left
+        token = self.tokens[self.pos]
+        if token.kind != "=>":
+            return left
+        if not self.allow_implies:
+            raise DslSyntaxError(
+                "'=>' is only allowed in constraint files", self.lineno, token.column
+            )
+        self.descend(token)
+        node = Implies(left, self.expr())  # right-associative
+        self.depth -= 1
+        return node
 
     def or_expr(self) -> BoolExpr:
-        operands = [self.and_expr()]
-        while (token := self.peek()) is not None and token.kind == "|":
-            self.advance()
+        operand = self.and_expr()
+        if self.tokens[self.pos].kind != "|":
+            return operand
+        operands = [operand]
+        while self.tokens[self.pos].kind == "|":
+            self.pos += 1
             operands.append(self.and_expr())
-        return Or.of(operands)
+        return Or(*operands)
 
     def and_expr(self) -> BoolExpr:
-        operands = [self.factor()]
-        while (token := self.peek()) is not None and token.kind == "&":
-            self.advance()
+        operand = self.factor()
+        if self.tokens[self.pos].kind != "&":
+            return operand
+        operands = [operand]
+        while self.tokens[self.pos].kind == "&":
+            self.pos += 1
             operands.append(self.factor())
-        return And.of(operands)
+        return And(*operands)
 
     def factor(self) -> BoolExpr:
-        token = self.peek()
-        if token is None:
-            raise DslSyntaxError("expected expression", self.lineno)
-        if token.kind == "!":
-            with self.nested(token):
-                return Not(self.factor())
-        if token.kind == "(":
-            with self.nested(token):
-                node = self.expr()
-                self.expect(")")
-            return node
-        if token.kind == "ident":
-            self.advance()
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == "ident":
+            self.pos += 1
+            self.atoms[token.text] = None
             return Atom(token.text)
+        if kind == "!":
+            self.descend(token)
+            node = Not(self.factor())
+            self.depth -= 1
+            return node
+        if kind == "(":
+            self.descend(token)
+            node = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return node
+        if token is _END:
+            raise DslSyntaxError("expected expression", self.lineno)
         self.fail("expected '!', '(' or a fact name")
         raise AssertionError("unreachable")
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0]
-
-
 def _lines(text: str) -> Iterator[tuple[int, list[_Token]]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(_strip_comment(raw), lineno)
+        tokens = _tokenize(raw.split("#", 1)[0], lineno)  # '#' starts a comment
         if tokens:
             yield lineno, tokens
 
@@ -455,8 +472,7 @@ def _parse_rule_head(parser: _ExprParser) -> str | None:
     """Consume ``rule [name] :`` and return the optional name."""
     parser.expect("ident")  # the 'rule' keyword, already checked by the caller
     name = None
-    token = parser.peek()
-    if token is not None and token.kind == "ident":
+    if parser.peek().kind == "ident":
         name = parser.advance().text
     parser.expect(":")
     return name
@@ -466,14 +482,9 @@ def parse_rules(text: str) -> RuleNetwork:
     """Parse rule-DSL source into a validated :class:`RuleNetwork`."""
     rules: list[Rule] = []
     consequents: set[str] = set()
-    mention_order: list[str] = []
-    mentioned: set[str] = set()
+    mentioned: dict[str, None] = {}  # every fact, in order of first mention
+    used: set[str] = set()  # every atom of every antecedent
     outputs: list[str] | None = None
-
-    def mention(fact: str) -> None:
-        if fact not in mentioned:
-            mentioned.add(fact)
-            mention_order.append(fact)
 
     for lineno, tokens in _lines(text):
         head = tokens[0]
@@ -490,9 +501,9 @@ def parse_rules(text: str) -> RuleNetwork:
             if consequent in consequents:
                 raise NetworkError(f"duplicate consequent {consequent!r} (line {lineno})")
             consequents.add(consequent)
-            for atom in atom_names(antecedent):
-                mention(atom)
-            mention(consequent)
+            mentioned.update(parser.atoms)
+            mentioned[consequent] = None
+            used.update(parser.atoms)
             rules.append(Rule(antecedent, consequent, name))
         elif head.text == "outputs":
             if outputs is not None:
@@ -507,9 +518,8 @@ def parse_rules(text: str) -> RuleNetwork:
 
     if not rules:
         raise NetworkError("empty network: no rules defined")
-    inputs = tuple(f for f in mention_order if f not in consequents)
+    inputs = tuple(f for f in mentioned if f not in consequents)
     if outputs is None:
-        used = {a for rule in rules for a in atom_names(rule.antecedent)}
         outputs = [rule.consequent for rule in rules if rule.consequent not in used]
     return RuleNetwork(inputs, tuple(rules), tuple(outputs))
 

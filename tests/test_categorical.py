@@ -382,6 +382,24 @@ class TestConstraintParsing:
         with pytest.raises(DslSyntaxError):
             parse_constraints("rule: a -> b\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("symptoms: s1\nrule C1: s1 =>  %d1", "unexpected character '%' (line 2, column 17)"),
+            ("symptoms: s1 s2", "expected ',', got 's2' (line 1, column 14)"),
+            ("rule C1: s1 => d1 )", "unexpected trailing input, got ')' (line 1, column 19)"),
+            # each '=>' counts one level
+            (
+                "rule C1: " + " => ".join(["a"] * 102),
+                "expression nested deeper than 100 levels (line 1, column 512)",
+            ),
+        ],
+    )
+    def test_syntax_error_message_and_position(self, text, message):
+        with pytest.raises(DslSyntaxError) as info:
+            parse_constraints(text)
+        assert str(info.value) == message
+
     def test_implication_precedence(self):
         cs = parse_constraints("rule: d1 & !d2 => s2\n")
         assert cs.entries[0][1] == Implies(And(Atom("d1"), Not(Atom("d2"))), Atom("s2"))

@@ -1,6 +1,7 @@
 """Circuit IR invariants, permutation oracle and interchange round-trips."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,31 @@ class TestQasm:
         assert imported.num_qubits == circuit.num_qubits
         assert imported.num_clbits == circuit.num_clbits
 
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32), st.integers(1, 8), st.integers(0, 30))
+    def test_whitespace_and_comment_variants_import_alike(self, seed, num_qubits, num_gates):
+        rng = random.Random(seed)
+        circuit = random_circuit(rng, num_qubits, num_gates)
+
+        def blank(least: int = 0) -> str:
+            return "".join(rng.choice(" \t") for _ in range(rng.randint(least, 3)))
+
+        def padded(match) -> str:
+            return blank() + match.group() + blank()
+
+        header, include, *rest = export_qasm(circuit).splitlines()
+        parts = [header, include]
+        for line in rest:
+            keyword, operands = line.rstrip(";").split(" ", 1)
+            operands = re.sub(r"\[|\]|,|->", padded, operands)
+            parts.append(blank() + keyword + blank(1) + operands + blank() + ";")
+        text = parts[0]
+        for part in parts[1:]:
+            # a comment ends its line; otherwise several statements share one
+            separator = rng.choice(["\n", blank(), " // x q[0];\n", "\t//\n\n"])
+            text += separator + part
+        assert import_qasm(text + rng.choice(["", "\n", "// end"])) == circuit
+
     def test_import_tolerates_comments_and_blanks(self):
         text = (
             "OPENQASM 2.0;\n// banner\ninclude \"qelib1.inc\";\n\n"
@@ -218,3 +244,34 @@ class TestQasm:
     def test_import_wrong_arity(self):
         with pytest.raises(QasmError, match="argument count"):
             import_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[0];\n")
+
+
+_HEAD = "OPENQASM 2.0;\nqreg q[3];\n"
+
+# Exact message of each QasmError; the importer may change, but what a user
+# is told about a bad file may not.
+QASM_ERRORS = [
+    (_HEAD + "x r[0];", "bad qubit reference 'r[0]'"),
+    (_HEAD + "x q[0;", "bad qubit reference 'q[0'"),
+    (_HEAD + "cx q[0], r[1] ,q[2];", "bad qubit reference 'r[1]'"),
+    (_HEAD + "cx q[0];", "wrong argument count in 'cx q[0]'"),
+    (_HEAD + "ccx q[0],q[1];", "wrong argument count in 'ccx q[0],q[1]'"),
+    (_HEAD + "h q[0];", "unsupported statement 'h q[0]'"),
+    (
+        _HEAD + "x q[" + "9" * 30 + "];",
+        "qubit index 99999999999999999999... (30 digits) exceeds the limit of 1048576",
+    ),
+    (
+        "OPENQASM 2.0;\nqreg q[" + "1" * 5000 + "];",
+        "qreg size 11111111111111111111... (5000 digits) exceeds the limit of 1048576",
+    ),
+    (_HEAD + "measure q[0] -> c[0];", "bad classical bit reference 'c[0]'"),
+    (_HEAD + "creg c[1];\nmeasure q[0] -> d[0];", "bad classical bit reference 'd[0]'"),
+]
+
+
+@pytest.mark.parametrize("text, message", QASM_ERRORS)
+def test_qasm_error_message(text, message):
+    with pytest.raises(QasmError) as info:
+        import_qasm(text)
+    assert str(info.value) == message

@@ -253,6 +253,38 @@ class TestVerifyCompilation:
         assert not report.ok
         assert "mismatch" in str(report)
 
+    @pytest.mark.parametrize("chosen", [None, [{"a": 1, "b": 1}]])
+    @pytest.mark.parametrize(
+        "input_map, output_map, message",
+        [
+            ({"a": 7, "b": 1}, None, "input map puts 'a' on qubit 7, outside the 3-qubit circuit"),
+            (
+                {"a": -1, "b": 1},
+                None,
+                "input map puts 'a' on qubit -1, outside the 3-qubit circuit",
+            ),
+            ({"a": 0}, None, "input fact 'b' has no qubit in the input map"),
+            (
+                None,
+                {"X": (2, 5)},
+                "output map reads 'X' from classical bit 5, outside the 1 classical bits",
+            ),
+            (None, {"Z": (2, 0)}, "output map names 'Z', which is no fact of the network"),
+        ],
+    )
+    def test_maps_that_do_not_fit_are_refused(self, input_map, output_map, message, chosen):
+        network = parse_rules("rule: a & b -> X")
+        compiled = compile_network(network)
+        hand_built = CompiledCircuit(
+            compiled.circuit,
+            compiled.input_map if input_map is None else input_map,
+            compiled.output_map if output_map is None else output_map,
+            0,
+        )
+        with pytest.raises(CompileError) as info:
+            verify_compilation(network, hand_built, assignments=chosen)
+        assert str(info.value) == message
+
     def test_subset_of_assignments(self):
         network = parse_rules(DEMO_RULES)
         compiled = compile_network(network)

@@ -155,6 +155,45 @@ class TestParser:
         assert format_expr(And(Or(a, b), c)) == "(a | b) & c"
 
 
+_TOO_DEEP = "expression nested deeper than 100 levels"
+
+# Exact message, line and column of each syntax error; the tokenizer and the
+# parser may change, but what a user is told about bad text may not.
+SYNTAX_ERRORS = [
+    # an unexpected character after tabs: a tab is one column
+    ("rule r1:\tA &\t$ B -> X", "unexpected character '$'", 1, 14),
+    ("\t\trule r1: A -> X Y", "unexpected trailing input, got 'Y'", 1, 19),
+    ("rule r1: A -> X -> Y", "unexpected trailing input, got '->'", 1, 17),
+    ("rule r1: A & B X", "expected '->', got 'X'", 1, 16),
+    ("rule r1: A => B -> X", "'=>' is only allowed in constraint files", 1, 12),
+    ("rule r1: (A & B -> X", "expected ')', got '->'", 1, 17),
+    ("rule r1: A -> X\noutputs: X,, Y", "expected 'ident', got ','", 2, 12),
+    ("rule r1: A -> X\noutputs: X Y", "expected ',', got 'Y'", 2, 12),
+    ("rule r1: A -> X\noutputs:", "expected 'ident'", 2, None),
+    ("rule r1: A &", "expected expression", 1, None),
+    ("rule r1 A -> X", "expected ':', got 'A'", 1, 9),
+    ("rule r1: A | ) -> X", "expected '!', '(' or a fact name, got ')'", 1, 14),
+    # blank and comment lines still count
+    ("rule r1: A -> X\n  \n# c\nrule r2: X & -> Y", "expected '!', '(' or a fact name, got '->'",
+     4, 14),
+    ("rule r1: A -> X\n-> Y", "expected 'rule' or 'outputs'", 2, 1),
+    ("frob: A -> X", "expected 'rule' or 'outputs', got 'frob'", 1, 1),
+    ("rule: A -> X\noutputs: X\noutputs: X", "duplicate outputs clause", 3, 1),
+    # MAX_DEPTH + 1 levels: the error points at the level that overflows
+    ("rule r1: " + "!" * 101 + "A -> X", _TOO_DEEP, 1, 110),
+    ("rule r1: " + "(" * 101 + "A" + ")" * 101 + " -> X", _TOO_DEEP, 1, 110),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", SYNTAX_ERRORS)
+def test_syntax_error_message_line_and_column(text, message, line, column):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_rules(text)
+    where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
+    assert str(info.value) == message + where
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 class TestEvaluateExpr:
     def test_and(self):
         assert evaluate_expr(And(Atom("a"), Atom("b")), {"a": 1, "b": 1}) == 1
@@ -221,7 +260,7 @@ class TestTopologicalOrder:
     def test_evaluation_and_compilation_reuse_the_stored_order(self, monkeypatch):
         net = parse_rules(DEMO_RULES)
 
-        def explode(network):
+        def explode(*args):
             raise AssertionError("rule order recomputed")
 
         monkeypatch.setattr(rules, "topological_order", explode)
@@ -229,6 +268,8 @@ class TestTopologicalOrder:
         env = {"A": 1, "B": 1, "C": 0, "D": 1, "E": 0}
         assert evaluate_network(net, env)["R"] == _demo_oracle(1, 1, 0, 1, 0)[2]
         assert compile_network(net).circuit.gates
+        # this module's name for topological_order is the unpatched function
+        assert topological_order(net) == ("A", "B", "C", "D", "E", "X", "Y", "R")
 
 
 class TestEvaluateNetwork:
