@@ -267,6 +267,7 @@ _QASM_STATEMENT_RE = re.compile(
     r"|(x|cx|ccx)\s+(.+)"
     r"|measure\s+(.+?)\s*->\s*(.+))\Z"
 )
+_QASM_INCLUDE_RE = re.compile(r'include\s+"[^"]*"\Z')  # read and ignored
 _QASM_REF_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\Z")
 _QASM_GATES = {"x": (X, 1), "cx": (CNOT, 2), "ccx": (CCNOT, 3)}  # name -> (gate, arity)
 
@@ -316,7 +317,7 @@ def import_qasm(text: str) -> Circuit:
     for statement in statements[1:]:
         match = _QASM_STATEMENT_RE.match(statement)
         if match is None:
-            if statement.startswith("include"):
+            if _QASM_INCLUDE_RE.match(statement):
                 continue
             raise QasmError(f"unsupported statement {statement!r}")
         group = match.lastindex

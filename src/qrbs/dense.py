@@ -10,22 +10,26 @@ gates between measurements) and :func:`apply_gate` (once per gate). It
 applies the run of gates as one permutation: for each block of 2^16
 output indices it pulls the indices back through the gates in reverse,
 then gathers the amplitudes with ``np.take`` into a new array. The
-pull-back is planned once per run, before the blocks: a gate whose
-controls no later gate writes flips the index by a function of the output
-index alone, so such gates are folded into a few precomputed tables, one
-per mask of controls above the block bits, and a block's indices are its
-offsets XOR its start XOR the tables its start selects. Gates from the
-first one whose control a later gate writes on flip the index one by one.
-Compiled circuits emit gates in dependency order, so their runs are
-tables only. The indices are ``np.intp``, which ``np.take`` uses without
-converting. Every index is an XOR of offsets, block start and gate masks,
-so it is in range once every gate's qubits are: the kernel checks that
-once per call, while it plans, and the take then runs in ``mode="wrap"``,
-which writes straight into the output (the default ``mode="raise"``
-gathers each block into a buffer and copies it). For :func:`run`, right
-after a block is gathered, while it is still in cache, the kernel notes
-whether it holds a nonzero word, so the measured basis state is found in
-the occupied blocks alone. The state is read and written in one pass per
+pull-back is planned before the blocks: a gate whose controls no later
+gate writes flips the index by a function of the output index alone, so
+such gates are folded into a few precomputed tables, one per mask of
+controls above the block bits, and a block's start selects the tables
+whose mask it satisfies. Blocks whose starts select the same tables form
+a group; each thread XORs a group's tables into one combined table, and a
+block's indices are that table XOR its start, one XOR per block. Gates
+from the first one whose control a later gate writes on flip the index
+one by one. Compiled circuits emit gates in dependency order, so their
+runs are tables only. The last few plans are kept (read-only), so a run
+of gates repeated on a state of the same width, as when one circuit is
+run from many inputs, is planned once. The indices are ``np.intp``, which
+``np.take`` uses without converting. Every index is an XOR of offsets,
+block start and gate masks, so it is in range once every gate's qubits
+are: a plan is only made, and kept, once that is checked, and the take
+then runs in ``mode="wrap"``, which writes straight into the output (the
+default ``mode="raise"`` gathers each block into a buffer and copies it).
+For :func:`run`, right after a block is gathered, while it is still in
+cache, the kernel notes whether it holds a nonzero word, so the measured
+basis state is found in the occupied blocks alone. The state is read and written in one pass per
 run of gates, with no second pass to measure, and the block of indices
 stays in cache. The blocks are independent, so the two halves of the
 output range are gathered on two threads when two CPUs are usable (numpy
@@ -39,6 +43,7 @@ keeps its own dtype through :func:`apply_gate`.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from collections.abc import Sequence
@@ -90,23 +95,31 @@ def _flip(index: np.ndarray, control_mask: int, target_mask: int, flips: np.ndar
     index ^= flips
 
 
-def _plan(
-    gates: Sequence[Gate], num_qubits: int
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], list[tuple[int, int]]]:
+_Plan = tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...], tuple[tuple[int, int], ...]]
+
+
+def _plan(gates: Sequence[Gate], num_qubits: int) -> _Plan:
+    """:func:`_plan_run` for any sequence of gates; a repeated run is planned once."""
+    return _plan_run(tuple(gates), num_qubits)
+
+
+@functools.lru_cache(maxsize=4)
+def _plan_run(gates: tuple[Gate, ...], num_qubits: int) -> _Plan:
     """Plan the pull-back of a run of gates on ``num_qubits`` qubits, block by block.
 
     A block is ``2^min(16, num_qubits)`` output indices. The gates are
     walked last first; a gate that names a qubit at or above ``num_qubits``
-    raises :class:`SimulationError`. A gate is static when no gate pulled
-    back before it wrote one of its controls: its flip then depends only on
-    the output index, as ``(low controls set) << target`` within a block
-    times ``start & high == high`` for the block. Static gates with the same
-    high-control mask share one table, the XOR of their low-bit flips.
-    Returns ``(base, tables, steps)``: ``base`` is the block offsets XOR the
-    table of the gates with no high control, ``tables`` pairs each other
-    high-control mask with its table, and ``steps`` holds ``(control mask,
-    target mask)`` for every gate from the first non-static one on, applied
-    one by one after the tables.
+    raises :class:`SimulationError`, so nothing is cached for it. A gate is
+    static when no gate pulled back before it wrote one of its controls:
+    its flip then depends only on the output index, as ``(low controls
+    set) << target`` within a block times ``start & high == high`` for the
+    block. Static gates with the same high-control mask share one table,
+    the XOR of their low-bit flips. Returns ``(base, tables, steps)``:
+    ``base`` is the block offsets XOR the table of the gates with no high
+    control, ``tables`` pairs each other high-control mask with its table,
+    and ``steps`` holds ``(control mask, target mask)`` for every gate from
+    the first non-static one on, applied one by one after the tables. The
+    arrays are read-only, since later calls share them.
     """
     block_bits = min(_BLOCK_BITS, num_qubits)
     offsets = np.arange(1 << block_bits, dtype=np.intp)
@@ -123,10 +136,15 @@ def _plan(
             continue
         written |= target_mask
         low_controls = control_mask & low
-        table = tables.setdefault(control_mask & ~low, np.zeros_like(offsets))
+        high = control_mask & ~low
+        table = tables.get(high)
+        if table is None:
+            table = tables[high] = np.zeros_like(offsets)
         table ^= np.where(offsets & low_controls == low_controls, target_mask, 0)
+    for table in tables.values():
+        table.setflags(write=False)
     base = tables.pop(0)
-    return base, list(tables.items()), steps
+    return base, tuple(tables.items()), tuple(steps)
 
 
 def _apply_segment(
@@ -140,11 +158,14 @@ def _apply_segment(
     X, CNOT and CCNOT are each their own inverse, so output amplitude
     ``i`` is input amplitude ``g1(g2(...gk(i)))``: the index is pulled back
     through the gates from last to first. :func:`_plan` folds the gates
-    whose flips depend only on ``i`` into per-block tables, so a block's
-    input indices are its offsets XOR its start XOR each table whose
-    high-control mask the start satisfies; any remaining gates flip the
-    index one by one. The indices are ``np.intp``, the index type
-    ``np.take`` gathers with, and live in preallocated per-thread buffers.
+    whose flips depend only on ``i`` into per-block tables, and a block's
+    start selects the tables whose high-control mask it satisfies. Each
+    thread sorts its blocks into groups by the start bits that select
+    tables, XORs the base and the group's tables into one combined table
+    per group, and takes each block's input indices as that table XOR its
+    start, one XOR per block; any remaining gates flip the index one by
+    one. The indices are ``np.intp``, the index type ``np.take`` gathers
+    with, and live in preallocated per-thread buffers.
     :func:`_plan` raises :class:`SimulationError` before any gather if a
     gate names a qubit outside the state: only then is every index below
     ``amps.size``, which the unbuffered ``mode="wrap"`` take relies on. A
@@ -158,21 +179,32 @@ def _apply_segment(
     occupied = np.zeros(blocks, dtype=bool) if note_occupied else None
     errors: list[BaseException] = []
 
+    selector = 0  # the bits of a block's start that choose its tables
+    for high, _ in tables:
+        selector |= high
+
+    def selected_by(k: int) -> int:
+        return k * block & selector
+
     def gather(first: int, last: int) -> None:
         try:
-            index, flips = np.empty(block, np.intp), np.empty(block, np.intp)
-            for k in range(first, last):
-                start = k * block
-                np.bitwise_xor(base, start, out=index)
+            index, combined = np.empty(block, np.intp), np.empty(block, np.intp)
+            flips = np.empty(block, np.intp)
+            ordered = sorted(range(first, last), key=selected_by)
+            for group, members in groupby(ordered, key=selected_by):
+                source = base
                 for high, table in tables:
-                    if start & high == high:
-                        index ^= table
-                for control_mask, target_mask in steps:
-                    _flip(index, control_mask, target_mask, flips)
-                gathered = out[start : start + block]
-                np.take(amps, index, out=gathered, mode="wrap")
-                if occupied is not None:
-                    occupied[k] = gathered.view(np.uint8).max() > 0
+                    if group & high == high:
+                        source = np.bitwise_xor(source, table, out=combined)
+                for k in members:
+                    start = k * block
+                    np.bitwise_xor(source, start, out=index)
+                    for control_mask, target_mask in steps:
+                        _flip(index, control_mask, target_mask, flips)
+                    gathered = out[start : start + block]
+                    np.take(amps, index, out=gathered, mode="wrap")
+                    if occupied is not None:
+                        occupied[k] = gathered.view(np.uint8).max() > 0
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 

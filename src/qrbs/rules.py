@@ -371,10 +371,11 @@ class _ExprParser:
         self.pos += 1
         return token
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str, what: str | None = None) -> _Token:
+        """Consume a token of ``kind``; an error names it as ``what`` if given."""
         token = self.tokens[self.pos]
         if token.kind != kind:
-            self.fail(f"expected {kind!r}")
+            self.fail(f"expected {what or repr(kind)}")
         self.pos += 1
         return token
 
@@ -461,10 +462,10 @@ def _lines(text: str) -> Iterator[tuple[int, list[_Token]]]:
 
 
 def _parse_name_list(parser: _ExprParser) -> list[str]:
-    names = [parser.expect("ident").text]
+    names = [parser.expect("ident", "a fact name").text]
     while not parser.at_end():
         parser.expect(",")
-        names.append(parser.expect("ident").text)
+        names.append(parser.expect("ident", "a fact name").text)
     return names
 
 
@@ -495,7 +496,7 @@ def parse_rules(text: str) -> RuleNetwork:
             name = _parse_rule_head(parser)
             antecedent = parser.expr()
             parser.expect("->")
-            consequent = parser.expect("ident").text
+            consequent = parser.expect("ident", "a fact name").text
             if not parser.at_end():
                 parser.fail("unexpected trailing input")
             if consequent in consequents:

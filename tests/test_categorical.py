@@ -387,6 +387,11 @@ class TestConstraintParsing:
         [
             ("symptoms: s1\nrule C1: s1 =>  %d1", "unexpected character '%' (line 2, column 17)"),
             ("symptoms: s1 s2", "expected ',', got 's2' (line 1, column 14)"),
+            ("symptoms: s1,", "expected a fact name (line 1)"),
+            (
+                "symptoms: s1\ndiagnoses: d1,,d2",
+                "expected a fact name, got ',' (line 2, column 15)",
+            ),
             ("rule C1: s1 => d1 )", "unexpected trailing input, got ')' (line 1, column 19)"),
             # each '=>' counts one level
             (

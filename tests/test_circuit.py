@@ -221,6 +221,11 @@ class TestQasm:
         circuit = import_qasm(text)
         assert circuit.gates == [X(0), Measure(0, 0)]
 
+    def test_import_accepts_an_include(self):
+        for include in ('include "qelib1.inc";', 'include\t"other.inc" ;'):
+            text = "OPENQASM 2.0;\n" + include + "\nqreg q[2];\nx q[1];\n"
+            assert import_qasm(text).gates == [X(1)]
+
     def test_import_missing_header(self):
         with pytest.raises(QasmError, match="header"):
             import_qasm("qreg q[1];\n")
@@ -257,6 +262,10 @@ QASM_ERRORS = [
     (_HEAD + "cx q[0];", "wrong argument count in 'cx q[0]'"),
     (_HEAD + "ccx q[0],q[1];", "wrong argument count in 'ccx q[0],q[1]'"),
     (_HEAD + "h q[0];", "unsupported statement 'h q[0]'"),
+    # only include "file" is skipped, not every statement that starts with "include"
+    (_HEAD + "includex q[0];", "unsupported statement 'includex q[0]'"),
+    (_HEAD + "include_gate q[1];\nx q[1];", "unsupported statement 'include_gate q[1]'"),
+    (_HEAD + "include qelib1.inc;", "unsupported statement 'include qelib1.inc'"),
     (
         _HEAD + "x q[" + "9" * 30 + "];",
         "qubit index 99999999999999999999... (30 digits) exceeds the limit of 1048576",

@@ -167,9 +167,11 @@ SYNTAX_ERRORS = [
     ("rule r1: A & B X", "expected '->', got 'X'", 1, 16),
     ("rule r1: A => B -> X", "'=>' is only allowed in constraint files", 1, 12),
     ("rule r1: (A & B -> X", "expected ')', got '->'", 1, 17),
-    ("rule r1: A -> X\noutputs: X,, Y", "expected 'ident', got ','", 2, 12),
+    ("rule r1: A -> X\noutputs: X,, Y", "expected a fact name, got ','", 2, 12),
     ("rule r1: A -> X\noutputs: X Y", "expected ',', got 'Y'", 2, 12),
-    ("rule r1: A -> X\noutputs:", "expected 'ident'", 2, None),
+    ("rule r1: A -> X\noutputs:", "expected a fact name", 2, None),
+    ("rule r1: A ->", "expected a fact name", 1, None),
+    ("rule r1: A -> !X", "expected a fact name, got '!'", 1, 15),
     ("rule r1: A &", "expected expression", 1, None),
     ("rule r1 A -> X", "expected ':', got 'A'", 1, 9),
     ("rule r1: A | ) -> X", "expected '!', '(' or a fact name, got ')'", 1, 14),

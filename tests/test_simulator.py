@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit
@@ -556,7 +556,9 @@ def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
     expected = np.empty_like(values)
     circuit = Circuit(num_qubits).extend(gates)
     expected[as_permutation(circuit, max_qubits=num_qubits)] = values
-    assert np.array_equal(_apply_segment(values, gates)[0], expected)
+    for cpus in (1, 2):
+        with mock.patch.object(dense_module, "_usable_cpus", lambda: cpus):
+            assert np.array_equal(_apply_segment(values, gates)[0], expected)
 
 
 class TestPlannedPullBack:
@@ -567,7 +569,7 @@ class TestPlannedPullBack:
     def test_dependency_ordered_runs_are_all_tables(self, seed, num_qubits, num_gates):
         gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
         _, tables, steps = dense_module._plan(gates, num_qubits)
-        assert steps == []
+        assert steps == ()
         assert len(tables) <= len(high_control_masks(gates))
         assert_gathers_like_the_oracle(num_qubits, gates)
 
@@ -579,13 +581,13 @@ class TestPlannedPullBack:
         _, tables, steps = dense_module._plan(gates, 19)
         # the tail and the swap's last CNOT are tables; its first two CNOTs read 17 after it
         assert [high for high, _ in tables] == [1 << 16, 1 << 17]
-        assert steps == [(1 << 17, 1 << 4), (1 << 4, 1 << 17)]
+        assert steps == ((1 << 17, 1 << 4), (1 << 4, 1 << 17))
         assert_gathers_like_the_oracle(19, gates)
 
     def test_run_that_turns_non_static_at_once(self):
         gates = [CCNOT(2, 16, 17), CNOT(17, 2), CNOT(2, 16), CCNOT(16, 17, 3), X(17)]
         base, tables, steps = dense_module._plan(gates, 18)
-        assert tables == [] and len(steps) == 4
+        assert tables == () and len(steps) == 4
         assert np.array_equal(base, np.arange(1 << 16) ^ 1 << 17)
         assert_gathers_like_the_oracle(18, gates)
 
@@ -620,7 +622,7 @@ class TestPlannedPullBack:
             ]
             assert runs
             for gates in runs:
-                assert dense_module._plan(gates, circuit.num_qubits)[2] == []
+                assert dense_module._plan(gates, circuit.num_qubits)[2] == ()
         assert circuit.num_qubits == 25
 
     def test_tables_are_bounded_by_the_high_control_masks(self):
@@ -629,3 +631,66 @@ class TestPlannedPullBack:
         assert len(tables) <= len(high_control_masks(gates)) == 1
         assert len(steps) == len(gates) - 1
         assert_gathers_like_the_oracle(18, gates)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(17, 21), st.integers(0, 30), st.booleans())
+    @example(seed=5, num_qubits=21, num_gates=30, swap_head=True)
+    @example(seed=6, num_qubits=17, num_gates=30, swap_head=False)
+    def test_grouped_gather_matches_the_oracle(self, seed, num_qubits, num_gates, swap_head):
+        rng = random.Random(seed)
+        gates = dependency_ordered_gates(rng, num_qubits, num_gates)
+        # Appended gates are pulled back first, so they are static: they add
+        # the masks {h1}, {h2} and {h1, h2} (only {16} at 17 qubits, the one
+        # qubit above the block bits), on targets that no gate reads.
+        highs = rng.sample(range(16, num_qubits), min(2, num_qubits - 16))
+        controls = {qubit for gate in gates for qubit in gate_qubits(gate)[:-1]}
+        free = [qubit for qubit in range(num_qubits) if qubit not in controls | set(highs)]
+        assume(free)
+        gates += [CNOT(high, rng.choice(free)) for high in highs]
+        if len(highs) == 2:
+            gates.append(CCNOT(*highs, rng.choice(free)))
+        if swap_head:  # swap a low and a high qubit first: its first two CNOTs are steps
+            low, high = rng.randrange(16), rng.randrange(16, num_qubits)
+            gates = [CNOT(low, high), CNOT(high, low), CNOT(low, high)] + gates
+        _, tables, steps = dense_module._plan(gates, num_qubits)
+        assert len(high_control_masks(gates)) >= len(tables) >= 2 * len(highs) - 1
+        assert (len(steps) >= 2) == swap_head
+        assert_gathers_like_the_oracle(num_qubits, gates)
+
+
+class TestPlanMemo:
+    def setup_method(self):
+        dense_module._plan_run.cache_clear()
+
+    def test_a_repeated_run_is_planned_once(self):
+        gates = [CNOT(3, 17), CCNOT(16, 2, 5), X(0)]
+        first = dense_module._plan(gates, 18)
+        assert dense_module._plan(tuple(gates), 18) is first
+        assert dense_module._plan_run.cache_info().misses == 1
+
+    def test_each_width_has_its_own_plan(self):
+        gates = [CNOT(3, 11), X(0)]
+        narrow, wide = dense_module._plan(gates, 12), dense_module._plan(gates, 18)
+        assert narrow is not wide
+        assert (narrow[0].size, wide[0].size) == (1 << 12, 1 << 16)
+        beyond = gates + [CNOT(12, 1)]
+        dense_module._plan(beyond, 18)
+        for _ in range(2):  # a refused plan is not cached
+            with pytest.raises(SimulationError, match="out of range for 12 qubits"):
+                dense_module._plan(beyond, 12)
+
+    def test_cached_tables_are_read_only(self):
+        base, tables, _ = dense_module._plan([CNOT(16, 0), CNOT(17, 1), X(2)], 18)
+        assert len(tables) == 2
+        for array in (base, *(table for _, table in tables)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] ^= 1
+
+    def test_two_dense_runs_of_one_circuit_agree(self):
+        circuit = build_idc_circuit().circuit
+        initial = 1 << 3
+        first = run(circuit, initial, "statevector")
+        second = run(circuit, initial, "statevector")
+        assert dense_module._plan_run.cache_info().hits > 0
+        assert first.bits == second.bits
+        assert np.array_equal(first.final_state.amplitudes, second.final_state.amplitudes)
