@@ -10,28 +10,26 @@ gates between measurements) and :func:`apply_gate` (once per gate). It
 applies the run of gates as one permutation: for each block of 2^16
 output indices it pulls the indices back through the gates in reverse,
 then gathers the amplitudes with ``np.take`` into a new array. The
-pull-back is planned before the blocks: a gate whose controls no later
-gate writes flips the index by a function of the output index alone, so
-such gates are folded into a few precomputed tables, one per mask of
-controls above the block bits, and a block's start selects the tables
-whose mask it satisfies. Blocks whose starts select the same tables form
-a group; each thread XORs a group's tables into one combined table, and a
-block's indices are that table XOR its start, one XOR per block. Gates
-from the first one whose control a later gate writes on flip the index
-one by one. Compiled circuits emit gates in dependency order, so their
-runs are tables only. The last few plans are kept (read-only), so a run
-of gates repeated on a state of the same width, as when one circuit is
-run from many inputs, is planned once. The indices are ``np.intp``, which
+pull-back is planned once per run, before the blocks: a gate whose
+controls no later gate writes flips the index by a function of the output
+index alone, so such gates are folded into a few precomputed tables, one
+per mask of controls above the block bits, and a block's start selects
+the tables whose mask it satisfies. Blocks whose starts select the same
+tables form a group; each thread XORs a group's tables into one combined
+table, and a block's indices are that table XOR its start, one XOR per
+block. Gates from the first one whose control a later gate writes on
+flip the index one by one. Compiled circuits emit gates in dependency
+order, so their runs are tables only. The indices are ``np.intp``, which
 ``np.take`` uses without converting. Every index is an XOR of offsets,
 block start and gate masks, so it is in range once every gate's qubits
-are: a plan is only made, and kept, once that is checked, and the take
+are: the kernel checks that once per call, while it plans, and the take
 then runs in ``mode="wrap"``, which writes straight into the output (the
 default ``mode="raise"`` gathers each block into a buffer and copies it).
 For :func:`run`, right after a block is gathered, while it is still in
 cache, the kernel notes whether it holds a nonzero word, so the measured
-basis state is found in the occupied blocks alone. The state is read and written in one pass per
-run of gates, with no second pass to measure, and the block of indices
-stays in cache. The blocks are independent, so the two halves of the
+basis state is found in the occupied blocks alone. The state is read and
+written in one pass per run of gates, with no second pass to measure,
+and the block of indices stays in cache. The blocks are independent, so the two halves of the
 output range are gathered on two threads when two CPUs are usable (numpy
 releases the interpreter lock in these loops).
 
@@ -43,7 +41,6 @@ keeps its own dtype through :func:`apply_gate`.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 from collections.abc import Sequence
@@ -95,31 +92,23 @@ def _flip(index: np.ndarray, control_mask: int, target_mask: int, flips: np.ndar
     index ^= flips
 
 
-_Plan = tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...], tuple[tuple[int, int], ...]]
-
-
-def _plan(gates: Sequence[Gate], num_qubits: int) -> _Plan:
-    """:func:`_plan_run` for any sequence of gates; a repeated run is planned once."""
-    return _plan_run(tuple(gates), num_qubits)
-
-
-@functools.lru_cache(maxsize=4)
-def _plan_run(gates: tuple[Gate, ...], num_qubits: int) -> _Plan:
+def _plan(
+    gates: Sequence[Gate], num_qubits: int
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], list[tuple[int, int]]]:
     """Plan the pull-back of a run of gates on ``num_qubits`` qubits, block by block.
 
     A block is ``2^min(16, num_qubits)`` output indices. The gates are
     walked last first; a gate that names a qubit at or above ``num_qubits``
-    raises :class:`SimulationError`, so nothing is cached for it. A gate is
-    static when no gate pulled back before it wrote one of its controls:
-    its flip then depends only on the output index, as ``(low controls
-    set) << target`` within a block times ``start & high == high`` for the
-    block. Static gates with the same high-control mask share one table,
-    the XOR of their low-bit flips. Returns ``(base, tables, steps)``:
-    ``base`` is the block offsets XOR the table of the gates with no high
-    control, ``tables`` pairs each other high-control mask with its table,
-    and ``steps`` holds ``(control mask, target mask)`` for every gate from
-    the first non-static one on, applied one by one after the tables. The
-    arrays are read-only, since later calls share them.
+    raises :class:`SimulationError`. A gate is static when no gate pulled
+    back before it wrote one of its controls: its flip then depends only on
+    the output index, as ``(low controls set) << target`` within a block
+    times ``start & high == high`` for the block. Static gates with the same
+    high-control mask share one table, the XOR of their low-bit flips.
+    Returns ``(base, tables, steps)``: ``base`` is the block offsets XOR the
+    table of the gates with no high control, ``tables`` pairs each other
+    high-control mask with its table, and ``steps`` holds ``(control mask,
+    target mask)`` for every gate from the first non-static one on, applied
+    one by one after the tables.
     """
     block_bits = min(_BLOCK_BITS, num_qubits)
     offsets = np.arange(1 << block_bits, dtype=np.intp)
@@ -141,10 +130,8 @@ def _plan_run(gates: tuple[Gate, ...], num_qubits: int) -> _Plan:
         if table is None:
             table = tables[high] = np.zeros_like(offsets)
         table ^= np.where(offsets & low_controls == low_controls, target_mask, 0)
-    for table in tables.values():
-        table.setflags(write=False)
     base = tables.pop(0)
-    return base, tuple(tables.items()), tuple(steps)
+    return base, list(tables.items()), steps
 
 
 def _apply_segment(
