@@ -11,9 +11,11 @@ verification and logic-base reduction (:mod:`qrbs.planes`), and a TNM
 staging application built on all of it (:mod:`qrbs.idc`).
 
 Only the dense engine (:mod:`qrbs.dense`, loaded on the first dense
-run) and the permutation oracle (:func:`qrbs.circuit.as_permutation`)
-use numpy, so the fast path runs without it; importing the package only
-registers numpy to load on first use (:func:`_defer_numpy`).
+run) uses numpy, which the ``dense`` extra installs; the fast path runs
+without it. :class:`StateVector`, :func:`apply_gate` and
+:func:`init_state` are read from :mod:`qrbs.dense` when first looked up
+here, and importing the package only registers numpy to load on first
+use (:func:`_defer_numpy`).
 """
 
 import importlib.util
@@ -40,7 +42,6 @@ from .circuit import (
     Gate,
     Measure,
     X,
-    as_permutation,
     export_qasm,
     gate_counts,
     import_qasm,
@@ -96,7 +97,7 @@ from .rules import (
     parse_rules,
     topological_order,
 )
-from .simulator import RunResult, engines_agree, results_agree, run
+from .simulator import RunResult, run
 
 __version__ = "0.1.0"
 
@@ -104,7 +105,9 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     # the dense engine's names load qrbs.dense, and so numpy, on first use
     if name in ("StateVector", "apply_gate", "init_state"):
-        return getattr(simulator, name)
+        from . import dense
+
+        return getattr(dense, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

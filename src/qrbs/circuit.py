@@ -1,10 +1,9 @@
 """Reversible-circuit intermediate representation.
 
 The gate set is {X, CNOT, CCNOT} plus terminal measurement, so every
-circuit acts as a permutation of computational basis states. That keeps
-a brute-force permutation oracle tractable (:func:`as_permutation`),
-which the compiler's correctness tests lean on. Circuits export to an
-OpenQASM 2.0 subset and import back losslessly.
+circuit acts as a permutation of computational basis states, which the
+tests check against a brute-force permutation table of their own.
+Circuits export to an OpenQASM 2.0 subset and import back losslessly.
 
 Qubit ``k`` corresponds to bit ``k`` of a basis index (q0 is least
 significant); classical bits follow the same convention.
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import CircuitError, QasmError
 
@@ -26,16 +25,11 @@ __all__ = [
     "Gate",
     "Circuit",
     "MAX_REGISTER",
-    "as_permutation",
     "export_qasm",
     "gate_counts",
     "gate_qubits",
     "import_qasm",
 ]
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 @dataclass(frozen=True)
 class X:
@@ -183,31 +177,6 @@ class Circuit:
             f"Circuit(num_qubits={self.num_qubits}, num_clbits={self.num_clbits}, "
             f"gates={len(self.gates)})"
         )
-
-
-def as_permutation(circuit: Circuit, max_qubits: int = 16) -> np.ndarray:
-    """The circuit's action on every basis index; measurements are ignored.
-
-    Entry ``i`` is where basis state ``i`` ends up. Valid because X,
-    CNOT and CCNOT map basis states to basis states.
-    """
-    import numpy as np
-
-    n = circuit.num_qubits
-    if n > max_qubits:
-        raise CircuitError(f"permutation oracle capped at {max_qubits} qubits, got {n}")
-    perm = np.arange(1 << n, dtype=np.int64)
-    for gate in circuit.gates:
-        match gate:
-            case X(target):
-                perm ^= 1 << target
-            case CNOT(control, target):
-                perm ^= ((perm >> control) & 1) << target
-            case CCNOT(control1, control2, target):
-                perm ^= ((perm >> control1) & (perm >> control2) & 1) << target
-            case Measure():
-                pass
-    return perm
 
 
 def gate_counts(circuit: Circuit) -> dict:

@@ -69,7 +69,12 @@ def _resolve_max_qubits(args: argparse.Namespace) -> int | None:
     if args.max_qubits is not None:
         return args.max_qubits
     env = os.environ.get("QRBS_MAX_QUBITS")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise QrbsError(f"QRBS_MAX_QUBITS={env!r} is not an integer") from None
 
 
 def _compile_options(args: argparse.Namespace, default_budget: int | None = None) -> CompileOptions:

@@ -217,9 +217,6 @@ class StateVector:
     num_qubits: int
     amplitudes: np.ndarray
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
     def basis_index(self, tol: float = 1e-9) -> int:
         """The index of the single occupied basis state.
 

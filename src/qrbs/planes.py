@@ -58,11 +58,15 @@ def pack(rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, list[int]]]:
     """Rows of 0/1 bits, ``2^CHUNK_BITS`` at a time, as planes: row ``j`` is bit ``j``.
 
     Yields, per batch, the all-ones plane over the batch's rows and one
-    plane per column; every row must have the same length.
+    plane per column. Every row must have the same length: a batch with a
+    shorter or longer row raises :class:`ValueError`.
     """
     rows = iter(rows)
     while batch := list(islice(rows, 1 << CHUNK_BITS)):
-        columns = [int(bytes(column[::-1]).translate(_DIGITS), 2) for column in zip(*batch)]
+        columns = [
+            int(bytes(column[::-1]).translate(_DIGITS), 2)
+            for column in zip(*batch, strict=True)
+        ]
         yield (1 << len(batch)) - 1, columns
 
 

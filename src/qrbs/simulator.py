@@ -17,11 +17,10 @@ shifts and masks, comparing every qubit and classical bit with the
 registers as it goes. It shares no per-gate code with the dense engine,
 so each engine is an independent oracle for the other.
 
-This module does not import numpy. :func:`run` loads :mod:`qrbs.dense`
-on the first ``engine="statevector"`` run, and the dense engine's public
-names (:class:`~qrbs.dense.StateVector`, :func:`~qrbs.dense.init_state`,
-:func:`~qrbs.dense.apply_gate`, ``DEFAULT_MAX_QUBITS``) are read from it
-the first time they are looked up here.
+The fast engine needs no third-party package. :func:`run` loads
+:mod:`qrbs.dense`, where the dense engine's public names live, on the
+first ``engine="statevector"`` run; if the ``dense`` extra is not
+installed, that run raises :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -35,29 +34,9 @@ from .errors import SimulationError
 if TYPE_CHECKING:
     from .dense import StateVector
 
-__all__ = [
-    "DEFAULT_MAX_QUBITS",
-    "BasisIndex",
-    "RunResult",
-    "StateVector",
-    "apply_gate",
-    "engines_agree",
-    "init_state",
-    "results_agree",
-    "run",
-]
-
-_DENSE_NAMES = ("DEFAULT_MAX_QUBITS", "StateVector", "apply_gate", "init_state")
+__all__ = ["BasisIndex", "RunResult", "run"]
 
 BasisIndex = int
-
-
-def __getattr__(name: str):
-    if name in _DENSE_NAMES:
-        from . import dense
-
-        return getattr(dense, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +81,13 @@ def run(
         )
     if engine == "fast":
         return _run_basis(circuit, initial)
-    from . import dense
+    try:
+        from . import dense
+    except ImportError as exc:
+        raise SimulationError(
+            f"the statevector engine needs numpy ({exc}); install it with "
+            "pip install 'qrbs[dense]'"
+        ) from exc
 
     bits, state = dense.run(circuit, initial, max_qubits)
     return RunResult(bits, state)
@@ -145,26 +130,3 @@ def _run_basis(circuit: Circuit, initial: BasisIndex) -> RunResult:
 
 def _out_of_range(gate: X | CNOT | CCNOT, num_qubits: int) -> SimulationError:
     return SimulationError(f"gate {gate!r} out of range for {num_qubits} qubits")
-
-
-def results_agree(fast: RunResult, dense: RunResult) -> bool:
-    """True iff the two runs report the same bits and the same final basis state."""
-    if fast.bits != dense.bits:
-        return False
-    # a fast result's final state is a basis index, a dense one's a state vector
-    if isinstance(dense.final_state, int) or not isinstance(fast.final_state, int):
-        raise ValueError("expected one fast result and one dense result")
-    try:
-        dense_index = dense.final_state.basis_index()
-    except SimulationError:
-        return False
-    return dense_index == fast.final_state
-
-
-def engines_agree(
-    circuit: Circuit, initial: BasisIndex = 0, max_qubits: int | None = None
-) -> bool:
-    """Cross-validate the two engines on one circuit and input."""
-    fast = run(circuit, initial, "fast")
-    dense = run(circuit, initial, "statevector", max_qubits)
-    return results_agree(fast, dense)

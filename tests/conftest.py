@@ -1,12 +1,72 @@
-"""Shared test generators: seeded random circuits, expressions and networks."""
+"""Shared test code: seeded random circuits, expressions and networks, and the
+oracles the engines are checked against.
+
+:func:`as_permutation` is a third oracle, sharing no code with either
+engine: it runs a circuit on every basis index at once with numpy.
+:func:`results_agree` and :func:`engines_agree` compare a fast run with a
+dense one.
+"""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from qrbs.categorical import ConstraintRule
 from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X
+from qrbs.errors import CircuitError, SimulationError
 from qrbs.rules import And, Atom, Implies, Not, Or, Rule, RuleNetwork
+from qrbs.simulator import RunResult, run
+
+
+def as_permutation(circuit: Circuit, max_qubits: int = 16) -> np.ndarray:
+    """The circuit's action on every basis index; measurements are ignored.
+
+    Entry ``i`` is where basis state ``i`` ends up. Valid because X,
+    CNOT and CCNOT map basis states to basis states.
+    """
+    n = circuit.num_qubits
+    if n > max_qubits:
+        raise CircuitError(f"permutation oracle capped at {max_qubits} qubits, got {n}")
+    perm = np.arange(1 << n, dtype=np.int64)
+    for gate in circuit.gates:
+        match gate:
+            case X(target):
+                perm ^= 1 << target
+            case CNOT(control, target):
+                perm ^= ((perm >> control) & 1) << target
+            case CCNOT(control1, control2, target):
+                perm ^= ((perm >> control1) & (perm >> control2) & 1) << target
+            case Measure():
+                pass
+    return perm
+
+
+def results_agree(fast: RunResult, dense: RunResult) -> bool:
+    """True iff the two runs report the same bits and the same final basis state."""
+    if fast.bits != dense.bits:
+        return False
+    # a fast result's final state is a basis index, a dense one's a state vector
+    if isinstance(dense.final_state, int) or not isinstance(fast.final_state, int):
+        raise ValueError("expected one fast result and one dense result")
+    try:
+        dense_index = dense.final_state.basis_index()
+    except SimulationError:
+        return False
+    return dense_index == fast.final_state
+
+
+def engines_agree(circuit: Circuit, initial: int = 0, max_qubits: int | None = None) -> bool:
+    """Cross-validate the two engines on one circuit and input."""
+    fast = run(circuit, initial, "fast")
+    dense = run(circuit, initial, "statevector", max_qubits)
+    return results_agree(fast, dense)
+
+
+def norm_sq(state) -> float:
+    """The squared norm of a dense state's amplitudes."""
+    return float(np.vdot(state.amplitudes, state.amplitudes).real)
 
 
 def random_circuit(

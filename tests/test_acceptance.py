@@ -12,14 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_circuit, random_network
+from conftest import norm_sq, random_circuit, random_network, results_agree
 from qrbs.categorical import Presence, build_elb, diagnose, index_to_complex, parse_constraints, reduce_to_rlb
 from qrbs.circuit import Circuit, Measure
 from qrbs.compiler import CompileOptions, compile_network, verify_compilation
 from qrbs.errors import OneHotError
 from qrbs.idc import TnmClass, build_idc_circuit, run_activation, stage
 from qrbs.rules import parse_rules
-from qrbs.simulator import apply_gate, init_state, results_agree, run
+from qrbs.dense import apply_gate, init_state
+from qrbs.simulator import run
 
 # The fifteen staging rows: TNM, activated qubit, output bits, stage set.
 GOLDEN_ROWS = (
@@ -161,7 +162,7 @@ def test_engines_agree_on_1000_random_circuits():
         state = init_state(num_qubits, initial)
         for gate in unitaries:
             state = apply_gate(state, gate)
-            assert abs(np.sqrt(state.norm_sq()) - 1.0) <= 1e-9, f"circuit {index}"
+            assert abs(np.sqrt(norm_sq(state)) - 1.0) <= 1e-9, f"circuit {index}"
         for gate in reversed(unitaries):
             state = apply_gate(state, gate)
         expected = init_state(num_qubits, initial).amplitudes

@@ -8,18 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_circuit
-from qrbs.circuit import (
-    CCNOT,
-    CNOT,
-    Circuit,
-    Measure,
-    X,
-    as_permutation,
-    export_qasm,
-    gate_counts,
-    import_qasm,
-)
+from conftest import as_permutation, random_circuit
+from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, export_qasm, gate_counts, import_qasm
 from qrbs.errors import CircuitError, QasmError
 
 

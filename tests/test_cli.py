@@ -350,6 +350,16 @@ class TestGlobalBehaviour:
         assert code == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_a_bad_max_qubits_env_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QRBS_MAX_QUBITS", value)
+        code, out, err = run_cli(
+            capsys, "stage", "--tnm", "T2,N0,M0", "--engine", "statevector"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: QRBS_MAX_QUBITS={value!r} is not an integer\n"
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QRBS_MAX_QUBITS", "10")
         code, out, _ = run_cli(

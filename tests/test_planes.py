@@ -91,6 +91,13 @@ class TestPack:
         assert list(planes.pack([(), ()])) == [(0b11, [])]
         assert list(planes.pack([])) == []
 
+    @pytest.mark.parametrize(
+        "rows", [[(1, 0, 1), (1,)], [(1,), (1, 0, 1)], [(1, 0), (0, 1), (1, 1, 0)]]
+    )
+    def test_a_ragged_row_is_refused(self, rows):
+        with pytest.raises(ValueError):
+            list(planes.pack(rows))
+
     def test_a_full_batch_matches_the_exhaustive_planes(self):
         rows = [tuple(word >> i & 1 for i in range(18)) for word in range(1 << 16)]
         assert list(planes.pack(rows)) == [planes.input_planes(18, 0)]

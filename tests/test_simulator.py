@@ -10,24 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_circuit
-from qrbs import circuit as circuit_module
+from conftest import as_permutation, engines_agree, norm_sq, random_circuit, results_agree
 from qrbs import dense as dense_module
 from qrbs import planes, simulator
-from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, as_permutation, gate_qubits
+from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, gate_qubits
 from qrbs.compiler import CompileOptions
-from qrbs.dense import _apply_segment, _occupied_index
+from qrbs.dense import StateVector, _apply_segment, _occupied_index, apply_gate, init_state
 from qrbs.errors import SimulationError
 from qrbs.idc import build_idc_circuit
-from qrbs.simulator import (
-    RunResult,
-    StateVector,
-    apply_gate,
-    engines_agree,
-    init_state,
-    results_agree,
-    run,
-)
+from qrbs.simulator import RunResult, run
 
 
 class TestInitState:
@@ -331,7 +322,7 @@ class TestNormAndReversal:
         state = init_state(num_qubits, rng.randrange(1 << num_qubits))
         for gate in circuit.gates:
             state = apply_gate(state, gate)
-            assert abs(state.norm_sq() - 1.0) <= 1e-9
+            assert abs(norm_sq(state) - 1.0) <= 1e-9
             # permutation closure: still a single unit-modulus amplitude
             nonzero = np.flatnonzero(state.amplitudes)
             assert nonzero.size == 1
@@ -454,7 +445,6 @@ class TestFusedSegmentKernel:
             raise AssertionError("the dense engine used another oracle")
 
         monkeypatch.setattr(simulator, "_run_basis", refuse)
-        monkeypatch.setattr(circuit_module, "as_permutation", refuse)
         for name in ("chunks", "input_planes", "evaluate", "run", "set_bits"):
             monkeypatch.setattr(planes, name, refuse)
         dense = run(circuit, initial, "statevector")

@@ -11,14 +11,16 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-CONSTRAINTS = Path(__file__).resolve().parent / "data" / "worked_2x2.constraints"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+CONSTRAINTS = TESTS / "data" / "worked_2x2.constraints"
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    # the tests directory is on the path so that a check can use the oracles in conftest
+    path = os.pathsep.join(filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    command = [sys.executable, "-c", textwrap.dedent(code), str(CONSTRAINTS)]
+    command = [sys.executable, "-c", textwrap.dedent(code), str(CONSTRAINTS), *args]
     return subprocess.run(command, capture_output=True, text=True, timeout=120, env=env)
 
 
@@ -60,6 +62,45 @@ def test_fast_path_runs_with_numpy_blocked():
     assert done.stdout == "00010100  II-A or III-A\n"
 
 
+def test_dense_run_with_numpy_blocked_names_the_extra(tmp_path):
+    qasm = tmp_path / "flip.qasm"
+    qasm.write_text('OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nx q[0];\nmeasure q[0] -> c[0];\n')
+    done = run_python(
+        """
+        import sys
+
+        sys.modules["numpy"] = None
+        import qrbs
+        from qrbs.errors import SimulationError
+
+        circuit = qrbs.Circuit(1, 1).append(qrbs.X(0)).append(qrbs.Measure(0, 0))
+        assert qrbs.run(circuit, 0, "fast").bits == (1,)
+        try:
+            qrbs.run(circuit, 0, "statevector")
+        except SimulationError as exc:
+            assert "qrbs[dense]" in str(exc), exc
+        else:
+            raise AssertionError("a dense run without numpy did not raise")
+        assert "qrbs.dense" not in sys.modules
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    without_numpy = (
+        'import sys; sys.modules["numpy"] = None; '
+        "from qrbs.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    for command in (
+        ["stage", "--tnm", "T2,N0,M0", "--engine", "statevector"],
+        ["simulate", "--circuit", str(qasm), "--input", "0", "--engine", "statevector"],
+    ):
+        done = run_python(without_numpy, *command)
+        assert done.returncode == 1, command
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert "qrbs[dense]" in done.stderr
+
+
 def test_numpy_loads_with_the_first_dense_run():
     done = run_python(
         """
@@ -77,10 +118,12 @@ def test_numpy_loads_with_the_first_dense_run():
         dense = qrbs.stage(qrbs.TnmClass.parse("T2,N0,M0"), "statevector", compiled)
         assert numpy_loaded() and "qrbs.dense" in sys.modules
         assert dense.stages == fast.stages
-        assert qrbs.results_agree(fast.result, dense.result)
+        from conftest import results_agree
+
+        assert results_agree(fast.result, dense.result)
 
         from qrbs import StateVector, apply_gate, init_state
-        from qrbs.simulator import DEFAULT_MAX_QUBITS
+        from qrbs.dense import DEFAULT_MAX_QUBITS
 
         assert StateVector is qrbs.dense.StateVector is type(dense.result.final_state)
         assert apply_gate(init_state(2), qrbs.X(1)).basis_index() == 2
