@@ -4,6 +4,8 @@ The gate set is {X, CNOT, CCNOT} plus terminal measurement, so every
 circuit acts as a permutation of computational basis states, which the
 tests check against a brute-force permutation table of their own.
 Circuits export to an OpenQASM 2.0 subset and import back losslessly.
+Gates enter a :class:`Circuit` only through its checks, so the engines
+run them unchecked.
 
 Qubit ``k`` corresponds to bit ``k`` of a basis index (q0 is least
 significant); classical bits follow the same convention.
@@ -96,10 +98,12 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 class Circuit:
     """Ordered gate list over ``num_qubits`` qubits and ``num_clbits`` classical bits.
 
-    Structural invariants enforced on :meth:`append`: indices in range,
-    no unitary gate touching a qubit after it was measured, and each
-    classical bit written by at most one measurement. Labels are
-    metadata only and never affect behaviour.
+    Structural invariants enforced on :meth:`append`: only gates, indices
+    in range, no unitary gate touching a qubit after it was measured, and
+    each classical bit written by at most one measurement. The registers
+    and :attr:`gates` are read-only, so :meth:`append` and :meth:`extend`
+    are the only way in and every engine runs the gates unchecked. Labels
+    are metadata only and never affect behaviour.
     """
 
     def __init__(
@@ -111,13 +115,25 @@ class Circuit:
     ):
         if num_qubits < 0 or num_clbits < 0:
             raise CircuitError("register sizes must be non-negative")
-        self.num_qubits = num_qubits
-        self.num_clbits = num_clbits
-        self.gates: list[Gate] = []
+        self._num_qubits = num_qubits
+        self._num_clbits = num_clbits
+        self._gates: list[Gate] = []
         self.qubit_labels: dict[int, str] = dict(qubit_labels or {})
         self.clbit_labels: dict[int, str] = dict(clbit_labels or {})
         self._measured: set[int] = set()
         self._written_clbits: set[int] = set()
+
+    @property
+    def num_qubits(self) -> int:
+        return self._num_qubits
+
+    @property
+    def num_clbits(self) -> int:
+        return self._num_clbits
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(self._gates)
 
     def append(self, gate: Gate) -> "Circuit":
         qubits = gate_qubits(gate)
@@ -139,7 +155,7 @@ class Circuit:
         elif not self._measured.isdisjoint(qubits):
             touched = self._measured.intersection(qubits)
             raise CircuitError(f"unitary gate on qubit {min(touched)} after it was measured")
-        self.gates.append(gate)
+        self._gates.append(gate)
         return self
 
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
@@ -161,7 +177,7 @@ class Circuit:
         return other
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self._gates)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
@@ -169,30 +185,23 @@ class Circuit:
         return (
             self.num_qubits == other.num_qubits
             and self.num_clbits == other.num_clbits
-            and self.gates == other.gates
+            and self._gates == other._gates
         )
 
     def __repr__(self) -> str:
         return (
             f"Circuit(num_qubits={self.num_qubits}, num_clbits={self.num_clbits}, "
-            f"gates={len(self.gates)})"
+            f"gates={len(self._gates)})"
         )
 
 
 def gate_counts(circuit: Circuit) -> dict:
     """Tallies per gate kind plus width summary; JSON-friendly."""
-    counts = {"x": 0, "cx": 0, "ccx": 0, "measure": 0}
+    names = {X: "x", CNOT: "cx", CCNOT: "ccx", Measure: "measure"}
+    counts = dict.fromkeys(names.values(), 0)
     for gate in circuit.gates:
-        match gate:
-            case X():
-                counts["x"] += 1
-            case CNOT():
-                counts["cx"] += 1
-            case CCNOT():
-                counts["ccx"] += 1
-            case Measure():
-                counts["measure"] += 1
-    counts["total"] = len(circuit.gates)
+        counts[names[type(gate)]] += 1
+    counts["total"] = len(circuit)
     counts["num_qubits"] = circuit.num_qubits
     counts["num_clbits"] = circuit.num_clbits
     return counts

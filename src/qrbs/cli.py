@@ -17,6 +17,7 @@ import sys
 
 from . import idc
 from .categorical import (
+    MAX_TOTAL_ATTRIBUTES,
     build_elb,
     diagnose,
     index_to_complex,
@@ -43,11 +44,17 @@ def _bits_argument(text: str) -> str:
     return text
 
 
+def _max_qubits_argument(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=ENGINES, default="fast")
     parser.add_argument(
         "--max-qubits",
-        type=int,
+        type=_max_qubits_argument,
         default=None,
         help="dense-engine qubit cap override (default: QRBS_MAX_QUBITS or 26)",
     )
@@ -61,6 +68,9 @@ def _add_compile_flags(parser: argparse.ArgumentParser) -> None:
         help="copy pass-through outputs to fresh ancillae before measuring",
     )
     parser.add_argument("--budget", type=int, default=None, help="ancilla budget")
+
+
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", default=None, help="circuit file to write")
     parser.add_argument("--map", dest="map_path", default=None, help="metadata JSON to write")
 
@@ -72,9 +82,12 @@ def _resolve_max_qubits(args: argparse.Namespace) -> int | None:
     if not env:
         return None
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise QrbsError(f"QRBS_MAX_QUBITS={env!r} is not an integer") from None
+    if cap < 1:
+        raise QrbsError(f"QRBS_MAX_QUBITS={env!r} is below 1")
+    return cap
 
 
 def _compile_options(args: argparse.Namespace, default_budget: int | None = None) -> CompileOptions:
@@ -146,6 +159,10 @@ def _cmd_rlb(args: argparse.Namespace) -> int:
             constraint_set = parse_constraints(fh.read())
     else:
         constraint_set = parse_constraints("")
+    # refused before resolve() builds a default name per requested attribute
+    requested = sum(max(count, 0) for count in (args.symptoms, args.diagnoses) if count)
+    if requested > MAX_TOTAL_ATTRIBUTES:
+        raise ValueError(f"{requested} attributes exceeds the cap of {MAX_TOTAL_ATTRIBUTES}")
     symptoms, diagnoses, rules = constraint_set.resolve(args.symptoms, args.diagnoses)
     elb = build_elb(len(symptoms), len(diagnoses))
     rlb = reduce_to_rlb(elb, rules, symptoms, diagnoses)
@@ -332,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile a rule file to a circuit")
     p.add_argument("--rules", required=True, help="rule DSL file")
     _add_compile_flags(p)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("simulate", help="run a circuit file on a basis state")
@@ -348,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export the built-in staging circuit")
     _add_compile_flags(p)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("verify-idc", help="run the staging reference suite")

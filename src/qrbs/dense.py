@@ -5,12 +5,13 @@ and :func:`qrbs.simulator.run` loads it on the first
 ``engine="statevector"`` run, so a process that only runs the fast engine
 never pays for numpy.
 
-The kernel is used by both :func:`run` (once per maximal run of unitary
-gates between measurements) and :func:`apply_gate` (once per gate). It
-applies the run of gates as one permutation: for each block of 2^16
-output indices it pulls the indices back through the gates in reverse,
-then gathers the amplitudes with ``np.take`` into a new array. The
-pull-back is planned once per run, before the blocks: a gate whose
+The kernel is used by both :func:`run` (once per circuit: no gate touches
+a measured qubit, so every measurement reads the final basis state) and
+:func:`apply_gate` (once per gate). It applies its gates as one
+permutation: for each block of 2^16 output indices it pulls the indices
+back through the gates in reverse, then gathers the amplitudes with
+``np.take`` into a new array. The pull-back is planned once per call,
+before the blocks: a gate whose
 controls no later gate writes flips the index by a function of the output
 index alone, so such gates are folded into a few precomputed tables, one
 per mask of controls above the block bits, and a block's start selects
@@ -19,17 +20,17 @@ tables form a group; each thread XORs a group's tables into one combined
 table, and a block's indices are that table XOR its start, one XOR per
 block. Gates from the first one whose control a later gate writes on
 flip the index one by one. Compiled circuits emit gates in dependency
-order, so their runs are tables only. The indices are ``np.intp``, which
+order, so their gates are tables only. The indices are ``np.intp``, which
 ``np.take`` uses without converting. Every index is an XOR of offsets,
 block start and gate masks, so it is in range once every gate's qubits
-are: the kernel checks that once per call, while it plans, and the take
+are: the kernel checks that once per call, while it plans, because
+:func:`apply_gate` takes a gate no :class:`Circuit` admitted, and the take
 then runs in ``mode="wrap"``, which writes straight into the output (the
 default ``mode="raise"`` gathers each block into a buffer and copies it).
 For :func:`run`, right after a block is gathered, while it is still in
 cache, the kernel notes whether it holds a nonzero word, so the measured
-basis state is found in the occupied blocks alone. The state is read and
-written in one pass per run of gates, with no second pass to measure,
-and the block of indices stays in cache. The blocks are independent, so the two halves of the
+basis state is found in the occupied blocks alone, with no second pass
+over the state. The blocks are independent, so the two halves of the
 output range are gathered on two threads when two CPUs are usable (numpy
 releases the interpreter lock in these loops).
 
@@ -137,27 +138,17 @@ def _plan(
 def _apply_segment(
     amps: np.ndarray, gates: Sequence[Gate], note_occupied: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Apply a run of unitary gates as one gather.
+    """Apply a run of unitary gates as one gather, as the module docstring lays out.
 
     Returns a new array and, if ``note_occupied``, one flag per block of
     output indices, set when the block holds a nonzero byte, which
-    :func:`_occupied_index` reads (else ``None``).
-    X, CNOT and CCNOT are each their own inverse, so output amplitude
-    ``i`` is input amplitude ``g1(g2(...gk(i)))``: the index is pulled back
-    through the gates from last to first. :func:`_plan` folds the gates
-    whose flips depend only on ``i`` into per-block tables, and a block's
-    start selects the tables whose high-control mask it satisfies. Each
-    thread sorts its blocks into groups by the start bits that select
-    tables, XORs the base and the group's tables into one combined table
-    per group, and takes each block's input indices as that table XOR its
-    start, one XOR per block; any remaining gates flip the index one by
-    one. The indices are ``np.intp``, the index type ``np.take`` gathers
-    with, and live in preallocated per-thread buffers.
+    :func:`_occupied_index` reads (else ``None``). X, CNOT and CCNOT are
+    each their own inverse, so output amplitude ``i`` is input amplitude
+    ``g1(g2(...gk(i)))``: the index is pulled back through the gates from
+    last to first, and each thread reuses preallocated ``np.intp`` buffers.
     :func:`_plan` raises :class:`SimulationError` before any gather if a
     gate names a qubit outside the state: only then is every index below
-    ``amps.size``, which the unbuffered ``mode="wrap"`` take relies on. A
-    block's flag is taken right after its take, while the block is still
-    in cache.
+    ``amps.size``, which the unbuffered ``mode="wrap"`` take relies on.
     """
     base, tables, steps = _plan(gates, amps.size.bit_length() - 1)
     block = base.size
@@ -293,8 +284,6 @@ def _check_memory(num_qubits: int, dtype: np.dtype | type) -> None:
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one unitary gate; returns a new state, input untouched."""
-    if isinstance(gate, Measure):
-        raise SimulationError("measurement is not a unitary gate; use run()")
     amplitudes, _ = _apply_segment(state.amplitudes, [gate])
     return StateVector(state.num_qubits, amplitudes)
 
@@ -304,28 +293,23 @@ def run(
 ) -> tuple[tuple[int, ...], StateVector]:
     """Run ``circuit`` from the basis state ``initial``; returns the bits and the final state.
 
-    A measurement that names a qubit or a classical bit outside the
-    circuit's registers raises :class:`SimulationError`, as
-    :func:`_plan` does for a unitary gate.
+    :class:`Circuit` lets no gate read or write a qubit after it is
+    measured, so a measured qubit ends the circuit holding the bit it was
+    measured with. The unitary gates are therefore applied as one gather,
+    and every measurement reads the one basis index located after it
+    (``initial`` when there is no unitary gate, and no gather). A circuit
+    with no measurement locates nothing.
     """
     state = init_state(circuit.num_qubits, initial, max_qubits)
+    measures = [gate for gate in circuit.gates if type(gate) is Measure]
+    unitary = [gate for gate in circuit.gates if type(gate) is not Measure]
+    located = initial
+    if unitary:
+        amplitudes, occupied = _apply_segment(state.amplitudes, unitary, bool(measures))
+        state = StateVector(state.num_qubits, amplitudes)
+        if measures:
+            located = _occupied_index(amplitudes, occupied)
     bits = [0] * circuit.num_clbits
-    located: int | None = initial
-    for measuring, gates in groupby(circuit.gates, key=lambda gate: isinstance(gate, Measure)):
-        if not measuring:
-            amplitudes, occupied = _apply_segment(
-                state.amplitudes, list(gates), note_occupied=True
-            )
-            state = StateVector(state.num_qubits, amplitudes)
-            located = None
-            continue
-        if located is None:
-            located = _occupied_index(state.amplitudes, occupied)
-        for gate in gates:
-            if gate.qubit >= circuit.num_qubits or gate.clbit >= circuit.num_clbits:
-                raise SimulationError(
-                    f"gate {gate!r} out of range for {circuit.num_qubits} qubits "
-                    f"and {circuit.num_clbits} classical bits"
-                )
-            bits[gate.clbit] = located >> gate.qubit & 1
+    for gate in measures:
+        bits[gate.clbit] = located >> gate.qubit & 1
     return tuple(bits), state

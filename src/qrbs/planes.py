@@ -8,7 +8,8 @@ covers ``2^CHUNK_BITS`` assignments: word ``chunk << CHUNK_BITS | j``
 for bit ``j``. Inputs below ``CHUNK_BITS`` get fixed stripe patterns and
 inputs above it are all zeros or all ones within a chunk, so memory
 stays flat at any input count. :func:`pack` builds the same planes from
-chosen rows instead, ``2^CHUNK_BITS`` rows at a time.
+chosen rows instead, ``2^CHUNK_BITS`` rows at a time. :func:`run` checks
+no gate: a :class:`~qrbs.circuit.Circuit` admits only gates in range.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import and_, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .circuit import CCNOT, CNOT, Circuit, Measure, X
-from .errors import NetworkError, SimulationError
+from .errors import NetworkError
 from .rules import And, Atom, BoolExpr, Implies, Not, Or
 
 CHUNK_BITS = 16
@@ -58,15 +59,18 @@ def pack(rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, list[int]]]:
     """Rows of 0/1 bits, ``2^CHUNK_BITS`` at a time, as planes: row ``j`` is bit ``j``.
 
     Yields, per batch, the all-ones plane over the batch's rows and one
-    plane per column. Every row must have the same length: a batch with a
-    shorter or longer row raises :class:`ValueError`.
+    plane per column. Every row must have the same length: a shorter or
+    longer row, in its batch or in a later one, raises :class:`ValueError`.
     """
-    rows = iter(rows)
+    rows, width = iter(rows), None
     while batch := list(islice(rows, 1 << CHUNK_BITS)):
         columns = [
             int(bytes(column[::-1]).translate(_DIGITS), 2)
             for column in zip(*batch, strict=True)
         ]
+        if width not in (None, len(columns)):
+            raise ValueError(f"rows of {len(columns)} bits after rows of {width} bits")
+        width = len(columns)
         yield (1 << len(batch)) - 1, columns
 
 
@@ -89,31 +93,19 @@ def evaluate(expr: BoolExpr, planes: Mapping[str, int], ones: int) -> int:
 
 
 def run(circuit: Circuit, qubits: Sequence[int], ones: int) -> list[int]:
-    """Run ``circuit`` from one plane per qubit; returns one plane per classical bit.
-
-    Raises the fast engine's :class:`SimulationError` for an object that
-    is not a gate and for a gate beyond the registers.
-    """
+    """Run ``circuit`` from one plane per qubit; returns one plane per classical bit."""
     q = list(qubits)
     bits = [0] * circuit.num_clbits
-    try:
-        for gate in circuit.gates:
-            match gate:
-                case X(target):
-                    q[target] ^= ones
-                case CNOT(control, target):
-                    q[target] ^= q[control]
-                case CCNOT(control1, control2, target):
-                    q[target] ^= q[control1] & q[control2]
-                case Measure(qubit, clbit):
-                    bits[clbit] = q[qubit]
-                case _:
-                    raise SimulationError(f"not a gate: {gate!r}")
-    except IndexError:
-        registers = f"{circuit.num_qubits} qubits"
-        if isinstance(gate, Measure):
-            registers += f" and {circuit.num_clbits} classical bits"
-        raise SimulationError(f"gate {gate!r} out of range for {registers}") from None
+    for gate in circuit.gates:
+        match gate:
+            case X(target):
+                q[target] ^= ones
+            case CNOT(control, target):
+                q[target] ^= q[control]
+            case CCNOT(control1, control2, target):
+                q[target] ^= q[control1] & q[control2]
+            case Measure(qubit, clbit):
+                bits[clbit] = q[qubit]
     return bits
 
 

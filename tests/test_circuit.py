@@ -37,11 +37,42 @@ class TestGateValidation:
 class TestCircuitAppend:
     def test_append_preserves_order(self):
         circuit = Circuit(3).append(CCNOT(0, 1, 2)).append(X(0))
-        assert circuit.gates == [CCNOT(0, 1, 2), X(0)]
+        assert circuit.gates == (CCNOT(0, 1, 2), X(0))
 
     def test_out_of_range(self):
         with pytest.raises(CircuitError, match="out of range"):
             Circuit(3).append(X(5))
+
+    @pytest.mark.parametrize(
+        "gate",
+        [CNOT(0, 5), CNOT(5, 0), CCNOT(0, 1, 3), CCNOT(4, 0, 1), X(4)]
+        + [Measure(7, 0), Measure(0, 4)],
+    )
+    def test_gates_beyond_the_registers_are_refused(self, gate):
+        circuit = Circuit(3, 1)
+        with pytest.raises(CircuitError, match="out of range"):
+            circuit.append(gate)
+        with pytest.raises(CircuitError, match="out of range"):
+            Circuit(3, 1).extend([X(0), gate])
+        assert circuit.gates == ()
+
+    @pytest.mark.parametrize("junk", ["X(1)", None, (0, 1)])
+    def test_a_non_gate_is_refused(self, junk):
+        with pytest.raises(TypeError, match="not a gate"):
+            Circuit(3, 1).append(junk)
+
+    def test_gates_and_registers_are_read_only(self):
+        circuit = Circuit(2, 1).append(X(0))
+        with pytest.raises(AttributeError):
+            circuit.gates.append(CNOT(0, 5))
+        with pytest.raises(TypeError):
+            circuit.gates[0] = CNOT(0, 5)
+        for register in ("gates", "num_qubits", "num_clbits"):
+            with pytest.raises(AttributeError):
+                setattr(circuit, register, 1)
+        circuit.append(CNOT(0, 1))
+        assert circuit.gates == (X(0), CNOT(0, 1))
+        assert (circuit.num_qubits, circuit.num_clbits) == (2, 1)
 
     def test_unitary_after_measure_rejected(self):
         circuit = Circuit(2, 1).append(Measure(0, 0))
@@ -209,12 +240,12 @@ class TestQasm:
             "qreg q[2]; creg c[1];\nx q[0]; // flip\nmeasure q[0] -> c[0];\n"
         )
         circuit = import_qasm(text)
-        assert circuit.gates == [X(0), Measure(0, 0)]
+        assert circuit.gates == (X(0), Measure(0, 0))
 
     def test_import_accepts_an_include(self):
         for include in ('include "qelib1.inc";', 'include\t"other.inc" ;'):
             text = "OPENQASM 2.0;\n" + include + "\nqreg q[2];\nx q[1];\n"
-            assert import_qasm(text).gates == [X(1)]
+            assert import_qasm(text).gates == (X(1),)
 
     def test_import_missing_header(self):
         with pytest.raises(QasmError, match="header"):

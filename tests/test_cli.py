@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, file plumbing, determinism."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,22 @@ class TestRlb:
         )
         assert code == 1
         assert "2 symptoms" in err
+
+    @pytest.mark.parametrize(
+        "counts, total", [(("2000000", "1"), 2000001), (("-5", "2000000"), 2000000)]
+    )
+    def test_counts_over_the_cap_are_refused_before_names_are_built(self, capsys, counts, total):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "rlb", "--symptoms", counts[0], "--diagnoses", counts[1]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == f"error: {total} attributes exceeds the cap of 20\n"
+        assert peak < 1 << 20
 
 
 class TestRlbFrozenOutput:
@@ -332,6 +349,17 @@ class TestVerify:
         assert payload["ok"] is True
         assert payload["assignments_checked"] == 32
 
+    @pytest.mark.parametrize(
+        "flag", [["-o", "x.qasm"], ["--output", "x.qasm"], ["--map", "m.json"]]
+    )
+    def test_verify_compile_writes_nothing_so_takes_no_output_flags(self, capsys, tmp_path, flag):
+        rules = tmp_path / "demo.rules"
+        rules.write_text(DEMO_RULES)
+        code, out, err = run_cli(capsys, "verify-compile", "--rules", str(rules), *flag)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
 
 class TestGlobalBehaviour:
     def test_unknown_subcommand(self, capsys):
@@ -359,6 +387,23 @@ class TestGlobalBehaviour:
         assert code == 1
         assert out == ""
         assert err == f"error: QRBS_MAX_QUBITS={value!r} is not an integer\n"
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_a_cap_below_one_is_a_usage_error(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "stage", "--tnm", "T2,N0,M0", "--engine", "statevector", f"--max-qubits={value}"
+        )
+        assert (code, out) == (2, "")
+        assert f"expected an integer of at least 1, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_an_env_cap_below_one_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QRBS_MAX_QUBITS", value)
+        code, out, err = run_cli(
+            capsys, "stage", "--tnm", "T2,N0,M0", "--engine", "statevector"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: QRBS_MAX_QUBITS={value!r} is below 1\n"
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QRBS_MAX_QUBITS", "10")

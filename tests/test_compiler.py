@@ -137,20 +137,20 @@ class TestCompileNetwork:
         network = parse_rules("rule: A -> X")
         compiled = compile_network(network)
         assert compiled.ancilla_count == 0
-        assert compiled.circuit.gates == [Measure(0, 0)]
+        assert compiled.circuit.gates == (Measure(0, 0),)
         assert compiled.output_map == {"X": (0, 0)}
 
     def test_single_literal_chain_measures_the_source(self):
         network = parse_rules("rule: A -> X\nrule: X -> Y\noutputs: Y")
         compiled = compile_network(network)
         assert compiled.ancilla_count == 0
-        assert compiled.circuit.gates == [Measure(0, 0)]
+        assert compiled.circuit.gates == (Measure(0, 0),)
 
     def test_measure_direct_off_copies_first(self):
         network = parse_rules("rule: A -> X")
         compiled = compile_network(network, CompileOptions(measure_inputs_directly=False))
         assert compiled.ancilla_count == 1
-        assert compiled.circuit.gates == [CNOT(0, 1), Measure(1, 0)]
+        assert compiled.circuit.gates == (CNOT(0, 1), Measure(1, 0))
         assert verify_compilation(network, compiled).ok
 
     def test_classical_bits_follow_output_declaration_order(self):

@@ -229,31 +229,16 @@ class TestRun:
             assert run(circuit, engine=engine).bits == (1, 1)
 
     @pytest.mark.parametrize("engine", ["fast", "statevector"])
-    @pytest.mark.parametrize(
-        "num_clbits, gates, message",
-        [
-            (0, [CNOT(0, 5), X(4)], "out of range for 3 qubits"),
-            (0, [CNOT(0, 5)], "out of range for 3 qubits"),
-            (0, [CNOT(5, 0)], "out of range for 3 qubits"),
-            (0, [CCNOT(0, 1, 3)], "out of range for 3 qubits"),
-            (0, [CCNOT(4, 0, 1)], "out of range for 3 qubits"),
-            (0, [X(4)], "out of range for 3 qubits"),
-            (1, [Measure(7, 0)], "out of range for 3 qubits and 1 classical bits"),
-            (1, [Measure(0, 4)], "out of range for 3 qubits and 1 classical bits"),
-            (1, [X(0), "X(1)"], "not a"),
-        ],
-    )
-    def test_gates_beyond_the_registers_are_refused(self, engine, num_clbits, gates, message):
-        circuit = Circuit(3, num_clbits)
-        circuit.gates.extend(gates)  # bypasses Circuit.append's checks
-        with pytest.raises(SimulationError, match=message):
-            run(circuit, 1, engine)
+    @pytest.mark.parametrize("initial", [1.0, "1"])
+    def test_a_non_integer_initial_is_refused(self, engine, initial):
+        with pytest.raises(ValueError, match="is not an integer"):
+            run(Circuit(3).append(X(0)), initial, engine)
 
-    def test_dense_run_rejects_a_gate_beyond_the_register(self):
-        circuit = Circuit(3, 1).append(X(0)).append(Measure(0, 0))
-        circuit.gates.append(CNOT(0, 5))  # bypasses Circuit.append's check
-        with pytest.raises(SimulationError, match="out of range for 3 qubits"):
-            run(circuit, engine="statevector")
+    @pytest.mark.parametrize("engine", ["fast", "statevector"])
+    def test_integer_likes_are_accepted_as_initial(self, engine):
+        circuit = Circuit(3, 1).append(X(0)).append(Measure(1, 0))
+        assert run(circuit, True, engine).bits == (0,)
+        assert run(circuit, np.int64(2), engine).bits == (1,)
 
 
 class TestEngineAgreement:
@@ -503,6 +488,30 @@ class TestMeasuredRuns:
 
         monkeypatch.setattr(StateVector, "basis_index", refuse)
         assert run(circuit, (1 << 20) - 1, "statevector").bits == fast.bits
+
+    def test_one_gather_and_one_scan_per_run(self, monkeypatch):
+        calls = {"_apply_segment": 0, "_occupied_index": 0}
+        for name in calls:
+            original = getattr(dense_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(dense_module, name, counted)
+        circuit = interleaved_circuit(random.Random(43), 12, 40)
+        kinds = [isinstance(gate, Measure) for gate in circuit.gates]
+        assert kinds.count(True) > 1 and (True, False) in zip(kinds, kinds[1:])
+        assert run(circuit, 5, "statevector").bits == run(circuit, 5, "fast").bits
+        assert calls == {"_apply_segment": 1, "_occupied_index": 1}
+
+        calls.update(dict.fromkeys(calls, 0))
+        measured_only = Circuit(3, 2).append(Measure(0, 0)).append(Measure(2, 1))
+        assert run(measured_only, 0b101, "statevector").bits == (1, 1)
+        assert calls == {"_apply_segment": 0, "_occupied_index": 0}
+        unmeasured = Circuit(3).append(X(0)).append(CNOT(0, 2))
+        assert run(unmeasured, 0, "statevector").final_state.basis_index() == 0b101
+        assert calls == {"_apply_segment": 1, "_occupied_index": 0}
 
 
 def dependency_ordered_gates(rng: random.Random, num_qubits: int, num_gates: int) -> list:
