@@ -13,6 +13,7 @@ significant); classical bits follow the same convention.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -95,15 +96,26 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
     raise TypeError(f"not a gate: {gate!r}")
 
 
+def _check_index(index: object, what: str) -> None:
+    """Refuse an index that is not an integer: a ``bool``, or what ``operator.index`` rejects."""
+    if isinstance(index, bool):
+        raise CircuitError(f"{what} index {index!r} is not an integer")
+    try:
+        operator.index(index)
+    except TypeError:
+        raise CircuitError(f"{what} index {index!r} is not an integer") from None
+
+
 class Circuit:
     """Ordered gate list over ``num_qubits`` qubits and ``num_clbits`` classical bits.
 
-    Structural invariants enforced on :meth:`append`: only gates, indices
-    in range, no unitary gate touching a qubit after it was measured, and
-    each classical bit written by at most one measurement. The registers
-    and :attr:`gates` are read-only, so :meth:`append` and :meth:`extend`
-    are the only way in and every engine runs the gates unchecked. Labels
-    are metadata only and never affect behaviour.
+    Structural invariants enforced on :meth:`append`: only gates, integer
+    indices (``bool`` excluded) in range, no unitary gate touching a qubit
+    after it was measured, and each classical bit written by at most one
+    measurement. The registers and :attr:`gates` are read-only, so
+    :meth:`append` and :meth:`extend` are the only way in and every engine
+    runs the gates unchecked. Labels are metadata only and never affect
+    behaviour.
     """
 
     def __init__(
@@ -138,11 +150,15 @@ class Circuit:
     def append(self, gate: Gate) -> "Circuit":
         qubits = gate_qubits(gate)
         for qubit in qubits:
+            if type(qubit) is not int:
+                _check_index(qubit, "qubit")
             if qubit >= self.num_qubits:
                 raise CircuitError(
                     f"qubit {qubit} out of range for a {self.num_qubits}-qubit circuit"
                 )
         if type(gate) is Measure:
+            if type(gate.clbit) is not int:
+                _check_index(gate.clbit, "classical bit")
             if gate.clbit >= self.num_clbits:
                 raise CircuitError(
                     f"classical bit {gate.clbit} out of range "

@@ -10,7 +10,7 @@ a measured qubit, so every measurement reads the final basis state) and
 :func:`apply_gate` (once per gate). It applies its gates as one
 permutation: for each block of 2^16 output indices it pulls the indices
 back through the gates in reverse, then gathers the amplitudes with
-``np.take`` into a new array. The pull-back is planned once per call,
+``np.take`` into the output array. The pull-back is planned once per call,
 before the blocks: a gate whose
 controls no later gate writes flips the index by a function of the output
 index alone, so such gates are folded into a few precomputed tables, one
@@ -34,6 +34,18 @@ over the state. The blocks are independent, so the two halves of the
 output range are gathered on two threads when two CPUs are usable (numpy
 releases the interpreter lock in these loops).
 
+The output array is recycled. Faulting in a fresh ``2^n``-amplitude
+array costs a large share of a run, so the kernel keeps its last output
+in one module-level slot and gathers into it again when the next call
+has the same shape and dtype and nothing else refers to it: no
+:class:`StateVector`, view or ``memoryview`` (each holds a reference,
+which CPython's reference count shows). The gather writes every
+amplitude, so nothing of the earlier state survives. Otherwise the slot
+is released before a new array is allocated, so a run never holds more
+than the two states :func:`_check_memory` allows for. The one cost: after
+its holder drops a state, one state-sized array stays allocated until
+the next dense run.
+
 :func:`init_state` allocates complex64: a permutation circuit run from a
 basis state only ever holds the amplitudes 0 and 1, which complex64 holds
 exactly, at half the memory traffic of complex128. A caller-built state
@@ -43,6 +55,7 @@ keeps its own dtype through :func:`apply_gate`.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -64,15 +77,55 @@ DEFAULT_MAX_QUBITS = 26
 # 64-bit np.intp) stay in cache while a run's tables are XORed into them.
 _BLOCK_BITS = 16
 
+_spare_lock = threading.Lock()  # makes _output_like's check-then-take atomic
+
+
+def _spare_references() -> int:
+    return sys.getrefcount(_spare)
+
+
+# _spare is the last output of _apply_segment, handed out again by
+# _output_like once nothing but this slot refers to it. _UNREFERENCED is what
+# _spare_references() reads then; it counts the interpreter's own temporary
+# references, which differ between CPython releases, so it is measured on a
+# probe array rather than written as a constant.
+_spare: np.ndarray | None = np.empty(0)
+_UNREFERENCED = _spare_references()
+_spare = None
+
+
+def _output_like(amps: np.ndarray) -> np.ndarray:
+    """An uninitialised array like ``amps``: the recycled last output when it is free.
+
+    The slot's array is handed back only if its shape and dtype match and
+    no other object refers to it. Otherwise the slot is emptied before
+    the new array is allocated, and the new array takes its place.
+    """
+    global _spare
+    with _spare_lock:
+        if (
+            _spare is not None
+            and _spare.shape == amps.shape
+            and _spare.dtype == amps.dtype
+            and _spare_references() == _UNREFERENCED
+        ):
+            return _spare
+        _spare = None  # freed first, so two spare arrays never coexist
+        _spare = np.empty_like(amps)
+        return _spare
+
 
 def _gate_masks(gate: Gate) -> tuple[int, int]:
-    match gate:
-        case X(target):
-            return 0, 1 << target
-        case CNOT(control, target):
-            return 1 << control, 1 << target
-        case CCNOT(control1, control2, target):
-            return (1 << control1) | (1 << control2), 1 << target
+    try:
+        match gate:
+            case X(target):
+                return 0, 1 << target
+            case CNOT(control, target):
+                return 1 << control, 1 << target
+            case CCNOT(control1, control2, target):
+                return (1 << control1) | (1 << control2), 1 << target
+    except TypeError:  # apply_gate takes gates no Circuit checked
+        raise SimulationError(f"gate {gate!r} has a non-integer qubit index") from None
     raise SimulationError(f"not a unitary gate: {gate!r}")
 
 
@@ -140,8 +193,9 @@ def _apply_segment(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Apply a run of unitary gates as one gather, as the module docstring lays out.
 
-    Returns a new array and, if ``note_occupied``, one flag per block of
-    output indices, set when the block holds a nonzero byte, which
+    Returns the output, an array from :func:`_output_like` whose every
+    amplitude the gather writes, and, if ``note_occupied``, one flag per
+    block of output indices, set when the block holds a nonzero byte, which
     :func:`_occupied_index` reads (else ``None``). X, CNOT and CCNOT are
     each their own inverse, so output amplitude ``i`` is input amplitude
     ``g1(g2(...gk(i)))``: the index is pulled back through the gates from
@@ -153,7 +207,7 @@ def _apply_segment(
     base, tables, steps = _plan(gates, amps.size.bit_length() - 1)
     block = base.size
     blocks = amps.size // block
-    out = np.empty_like(amps)
+    out = _output_like(amps)
     occupied = np.zeros(blocks, dtype=bool) if note_occupied else None
     errors: list[BaseException] = []
 

@@ -56,6 +56,26 @@ class TestCircuitAppend:
             Circuit(3, 1).extend([X(0), gate])
         assert circuit.gates == ()
 
+    @pytest.mark.parametrize(
+        "gate",
+        [X(1.0), X(True), CNOT(0, 1.5), CNOT(False, 2), CCNOT(0, 1, 2.0)]
+        + [Measure(1.0, 0), Measure(0, 0.0), Measure(0, True)],
+    )
+    def test_a_non_integer_index_is_refused(self, gate):
+        circuit = Circuit(3, 2)
+        with pytest.raises(CircuitError, match="is not an integer"):
+            circuit.append(gate)
+        with pytest.raises(CircuitError, match="is not an integer"):
+            Circuit(3, 2).extend([X(0), gate])
+        assert circuit.gates == ()
+
+    def test_numpy_integer_indices_are_accepted(self):
+        circuit = Circuit(3, 1).append(X(np.int64(2))).append(CNOT(np.int32(2), np.uint8(0)))
+        circuit.append(Measure(np.int16(0), np.int64(0)))
+        text = export_qasm(circuit)
+        assert text.endswith("x q[2];\ncx q[2],q[0];\nmeasure q[0] -> c[0];\n")
+        assert import_qasm(text) == circuit
+
     @pytest.mark.parametrize("junk", ["X(1)", None, (0, 1)])
     def test_a_non_gate_is_refused(self, junk):
         with pytest.raises(TypeError, match="not a gate"):

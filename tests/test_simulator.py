@@ -1,8 +1,16 @@
 """Dense and fast engines: conventions, agreement, norms, reversibility."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+import weakref
 from itertools import groupby
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -77,6 +85,11 @@ class TestApplyGate:
     def test_out_of_range_gate(self):
         with pytest.raises(SimulationError, match="out of range"):
             apply_gate(init_state(2), X(5))
+
+    @pytest.mark.parametrize("gate", [X(1.0), CNOT(0, 1.5), CCNOT(0, 1.0, 2)])
+    def test_non_integer_index_rejected(self, gate):
+        with pytest.raises(SimulationError, match="non-integer"):
+            apply_gate(init_state(3), gate)
 
     def test_input_state_is_untouched(self):
         state = init_state(1)
@@ -659,3 +672,173 @@ class TestPlannedPullBack:
         assert len(high_control_masks(gates)) >= len(tables) >= 2 * len(highs) - 1
         assert (len(steps) >= 2) == swap_head
         assert_gathers_like_the_oracle(num_qubits, gates)
+
+
+def recycling_circuit(num_qubits: int) -> Circuit:
+    """40 random gates, then measurements of the lowest, middle and highest qubits."""
+    rng = random.Random(num_qubits)
+    circuit = random_circuit(rng, num_qubits, 40, with_measures=False)
+    circuit = Circuit(num_qubits, 3).extend(circuit.gates)
+    return circuit.extend([Measure(0, 0), Measure(num_qubits // 2, 1), Measure(num_qubits - 1, 2)])
+
+
+def assert_exact(result: RunResult, circuit: Circuit, initial: int) -> None:
+    """One nonzero amplitude, equal to 1, at the fast engine's index, and the same bits."""
+    fast = run(circuit, initial, "fast")
+    amplitudes = result.final_state.amplitudes
+    assert np.flatnonzero(amplitudes).tolist() == [fast.final_state]
+    assert amplitudes[fast.final_state] == 1
+    assert result.bits == fast.bits
+
+
+def held_bytes(held) -> bytes:
+    if isinstance(held, RunResult):
+        held = held.final_state
+    if isinstance(held, StateVector):
+        held = held.amplitudes
+    return held.tobytes()
+
+
+class TestRecycledOutput:
+    """The dense engine gathers into its last output again once nothing else refers to it."""
+
+    @pytest.mark.parametrize(
+        "hold",
+        [
+            lambda result: result,
+            lambda result: result.final_state,
+            lambda result: result.final_state.amplitudes[::2],
+            lambda result: result.final_state.amplitudes[1::2][3::5],  # a view of a view
+            lambda result: memoryview(result.final_state.amplitudes),
+        ],
+        ids=["result", "state", "view", "view-of-view", "memoryview"],
+    )
+    def test_a_held_output_is_never_written(self, hold):
+        circuit = recycling_circuit(18)
+        held = hold(run(circuit, 1, "statevector"))
+        before = held_bytes(held)
+        for initial in (2, 1 << 17 | 5):
+            assert_exact(run(circuit, initial, "statevector"), circuit, initial)
+            assert held_bytes(held) == before
+
+    def test_a_dropped_output_is_gathered_into_again(self):
+        circuit = recycling_circuit(18)
+        amplitudes = run(circuit, 3, "statevector").final_state.amplitudes
+        address, dropped = amplitudes.ctypes.data, weakref.ref(amplitudes)
+        del amplitudes
+        second = run(circuit, 1 << 16 | 7, "statevector")
+        assert second.final_state.amplitudes is dropped()
+        assert second.final_state.amplitudes.ctypes.data == address
+        assert_exact(second, circuit, 1 << 16 | 7)
+
+    def test_apply_gate_recycles_too(self):
+        first = apply_gate(init_state(17, 0), X(3)).amplitudes
+        dropped = weakref.ref(first)
+        del first
+        second = apply_gate(init_state(17, 5), CNOT(0, 16))
+        assert second.amplitudes is dropped()
+        assert np.flatnonzero(second.amplitudes).tolist() == [5 | 1 << 16]
+
+    def test_another_width_releases_the_old_output_before_allocating(self, monkeypatch):
+        wide = run(recycling_circuit(19), 9, "statevector").final_state.amplitudes
+        dropped = weakref.ref(wide)
+        del wide
+        released_first = []
+        empty_like = np.empty_like
+
+        def allocate(prototype, *args, **kwargs):
+            released_first.append(dropped() is None)
+            return empty_like(prototype, *args, **kwargs)
+
+        monkeypatch.setattr(dense_module.np, "empty_like", allocate)
+        circuit = recycling_circuit(17)
+        narrow = run(circuit, 11, "statevector")
+        assert released_first == [True]
+        assert narrow.final_state.amplitudes.size == 1 << 17
+        assert_exact(narrow, circuit, 11)
+        dropped = weakref.ref(narrow.final_state.amplitudes)
+        del narrow
+        assert run(circuit, 12, "statevector").final_state.amplitudes is dropped()
+        assert released_first == [True]
+
+    def test_concurrent_runs_get_distinct_buffers(self, monkeypatch):
+        # four threads on two CPUs, each holding its result while the others
+        # hold theirs, then all dropping them, so each round races for the
+        # spare; a pause after each reference check lets another thread check
+        # before the first takes the spare, unless the lock keeps it out
+        references = dense_module._spare_references
+
+        def slow_references() -> int:
+            count = references()
+            time.sleep(0.002)
+            return count
+
+        monkeypatch.setattr(dense_module, "_spare_references", slow_references)
+        circuit = recycling_circuit(17)
+        threads, rounds = 4, 12
+        barrier = threading.Barrier(threads, timeout=60)
+        addresses: list[set] = [set() for _ in range(rounds)]
+        errors: list[BaseException] = []
+
+        def worker(k: int) -> None:
+            try:
+                for r in range(rounds):
+                    initial = (k * rounds + r) * 4099 % (1 << 17)
+                    result = run(circuit, initial, "statevector")
+                    barrier.wait()
+                    addresses[r].add(result.final_state.amplitudes.ctypes.data)
+                    assert_exact(result, circuit, initial)
+                    barrier.wait()
+                    del result
+            except BaseException as exc:  # re-raised below
+                errors.append(exc)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        if errors:
+            raise errors[0]
+        assert [len(held) for held in addresses] == [threads] * rounds
+
+    def test_back_to_back_runs_hold_at_most_two_states(self):
+        code = textwrap.dedent(
+            """
+            import random, resource, sys
+            from conftest import random_circuit
+            from qrbs.circuit import Circuit, Measure
+            from qrbs.simulator import run
+
+            gates = random_circuit(random.Random(22), 22, 30, with_measures=False).gates
+            circuit = Circuit(22, 1).extend(gates).append(Measure(21, 0))
+            run(Circuit(1), 0, "statevector")  # loads numpy and the engine
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            for initial in range(0, 6 << 15, 1 << 15):  # each result is dropped at once
+                assert run(circuit, initial, "statevector").bits == run(circuit, initial).bits
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(before, after)
+            """
+        )
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        path = os.pathsep.join(filter(None, path))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        before, after = map(int, done.stdout.split())
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, else KiB
+        state = 8 << 22  # one complex64 state of 22 qubits: 32 MiB
+        assert (after - before) * unit <= 2 * state + (16 << 20)
