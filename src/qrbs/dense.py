@@ -37,9 +37,13 @@ releases the interpreter lock in these loops).
 The output array is recycled. Faulting in a fresh ``2^n``-amplitude
 array costs a large share of a run, so the kernel keeps its last output
 in one module-level slot and gathers into it again when the next call
-has the same shape and dtype and nothing else refers to it: no
-:class:`StateVector`, view or ``memoryview`` (each holds a reference,
-which CPython's reference count shows). The gather writes every
+has the same shape and dtype, is still writeable and C-contiguous, and
+nothing else refers to it: no :class:`StateVector`, view or
+``memoryview`` (each holds a reference, which CPython's reference count
+shows). The count is trusted only on the CPython releases the tests run
+on (3.10 to 3.13, with the interpreter lock), and only if a probe at
+import reads one more while a second reference is held; elsewhere every
+run allocates. The gather writes every
 amplitude, so nothing of the earlier state survives. Otherwise the slot
 is released before a new array is allocated, so a run never holds more
 than the two states :func:`_check_memory` allows for. The one cost: after
@@ -79,26 +83,57 @@ _BLOCK_BITS = 16
 
 _spare_lock = threading.Lock()  # makes _output_like's check-then-take atomic
 
+# CPython releases whose reference counts the tests cover; on any other
+# interpreter the count is not trusted and every run allocates.
+_COUNTED_RELEASES = {(3, 10), (3, 11), (3, 12), (3, 13)}
+
+# _spare is the last output of _apply_segment, handed out again by
+# _output_like once nothing but this slot refers to it.
+_spare: np.ndarray | None = None
+
 
 def _spare_references() -> int:
     return sys.getrefcount(_spare)
 
 
-# _spare is the last output of _apply_segment, handed out again by
-# _output_like once nothing but this slot refers to it. _UNREFERENCED is what
-# _spare_references() reads then; it counts the interpreter's own temporary
-# references, which differ between CPython releases, so it is measured on a
-# probe array rather than written as a constant.
-_spare: np.ndarray | None = np.empty(0)
-_UNREFERENCED = _spare_references()
-_spare = None
+def _calibrate() -> int | None:
+    """What :func:`_spare_references` reads when only the slot refers to ``_spare``.
+
+    The interpreter's own temporary references differ between CPython
+    releases, so the count is measured on a probe array, after enough calls
+    for the adaptive interpreter to have specialised the function as it
+    runs later. ``None``, which no count equals, so nothing is reused, on an
+    interpreter outside ``_COUNTED_RELEASES`` or without the interpreter
+    lock, or if the readings vary or do not rise by one while a second
+    reference is held.
+    """
+    global _spare
+    if (
+        sys.implementation.name != "cpython"
+        or sys.version_info[:2] not in _COUNTED_RELEASES
+        or not getattr(sys, "_is_gil_enabled", lambda: True)()
+    ):
+        return None
+    _spare = np.empty(0)
+    alone = {_spare_references() for _ in range(200)}
+    held = _spare
+    with_held = {_spare_references() for _ in range(200)}
+    del held
+    _spare = None
+    if len(alone) != 1 or with_held != {min(alone) + 1}:
+        return None
+    return alone.pop()
+
+
+_UNREFERENCED = _calibrate()
 
 
 def _output_like(amps: np.ndarray) -> np.ndarray:
     """An uninitialised array like ``amps``: the recycled last output when it is free.
 
-    The slot's array is handed back only if its shape and dtype match and
-    no other object refers to it. Otherwise the slot is emptied before
+    The slot's array is handed back only if its shape and dtype match, a
+    holder has not made it read-only (or restrided it) before dropping it,
+    and no other object refers to it. Otherwise the slot is emptied before
     the new array is allocated, and the new array takes its place.
     """
     global _spare
@@ -107,6 +142,8 @@ def _output_like(amps: np.ndarray) -> np.ndarray:
             _spare is not None
             and _spare.shape == amps.shape
             and _spare.dtype == amps.dtype
+            and _spare.flags.writeable
+            and _spare.flags.c_contiguous
             and _spare_references() == _UNREFERENCED
         ):
             return _spare
@@ -115,15 +152,21 @@ def _output_like(amps: np.ndarray) -> np.ndarray:
         return _spare
 
 
+def _bit(qubit: int) -> int:
+    if isinstance(qubit, bool):  # an int to <<, but Circuit refuses it
+        raise TypeError(qubit)
+    return 1 << qubit
+
+
 def _gate_masks(gate: Gate) -> tuple[int, int]:
     try:
         match gate:
             case X(target):
-                return 0, 1 << target
+                return 0, _bit(target)
             case CNOT(control, target):
-                return 1 << control, 1 << target
+                return _bit(control), _bit(target)
             case CCNOT(control1, control2, target):
-                return (1 << control1) | (1 << control2), 1 << target
+                return _bit(control1) | _bit(control2), _bit(target)
     except TypeError:  # apply_gate takes gates no Circuit checked
         raise SimulationError(f"gate {gate!r} has a non-integer qubit index") from None
     raise SimulationError(f"not a unitary gate: {gate!r}")

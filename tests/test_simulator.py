@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import time
+import warnings
 import weakref
 from itertools import groupby
 from pathlib import Path
@@ -86,7 +87,7 @@ class TestApplyGate:
         with pytest.raises(SimulationError, match="out of range"):
             apply_gate(init_state(2), X(5))
 
-    @pytest.mark.parametrize("gate", [X(1.0), CNOT(0, 1.5), CCNOT(0, 1.0, 2)])
+    @pytest.mark.parametrize("gate", [X(1.0), X(True), CNOT(0, 1.5), CNOT(False, 1), CCNOT(0, 1.0, 2)])
     def test_non_integer_index_rejected(self, gate):
         with pytest.raises(SimulationError, match="non-integer"):
             apply_gate(init_state(3), gate)
@@ -699,8 +700,51 @@ def held_bytes(held) -> bytes:
     return held.tobytes()
 
 
+# Reuse is off on an interpreter whose reference counts dense._calibrate does
+# not trust; test_reuse_is_on_where_the_count_is_trusted keeps it on in CI.
+reuses_output = pytest.mark.skipif(
+    dense_module._UNREFERENCED is None,
+    reason="reference counts not trusted on this interpreter, so no output is reused",
+)
+
+
 class TestRecycledOutput:
     """The dense engine gathers into its last output again once nothing else refers to it."""
+
+    def test_reuse_is_on_where_the_count_is_trusted(self):
+        trusted = (
+            sys.implementation.name == "cpython"
+            and sys.version_info[:2] in dense_module._COUNTED_RELEASES
+            and getattr(sys, "_is_gil_enabled", lambda: True)()
+        )
+        assert (dense_module._UNREFERENCED is not None) == trusted
+        if trusted:
+            assert dense_module._calibrate() == dense_module._UNREFERENCED
+
+    def test_an_untrusted_count_turns_reuse_off(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "version_info", (3, 14, 0, "final", 0))
+            assert dense_module._calibrate() is None
+        # a count that does not rise while a second reference is held
+        with monkeypatch.context() as patch:
+            patch.setattr(dense_module, "_spare_references", lambda: 2)
+            assert dense_module._calibrate() is None
+        # a count that changes once the interpreter has specialised the call
+        readings = iter(range(1000))
+        with monkeypatch.context() as patch:
+            patch.setattr(dense_module, "_spare_references", lambda: 2 + (next(readings) > 50))
+            assert dense_module._calibrate() is None
+        assert dense_module._spare is None
+
+    def test_without_reuse_every_run_allocates(self, monkeypatch):
+        monkeypatch.setattr(dense_module, "_UNREFERENCED", None)
+        circuit = recycling_circuit(17)
+        first = run(circuit, 3, "statevector").final_state.amplitudes
+        dropped = weakref.ref(first)
+        del first
+        second = run(circuit, 4, "statevector")
+        assert dropped() is None
+        assert_exact(second, circuit, 4)
 
     @pytest.mark.parametrize(
         "hold",
@@ -721,6 +765,7 @@ class TestRecycledOutput:
             assert_exact(run(circuit, initial, "statevector"), circuit, initial)
             assert held_bytes(held) == before
 
+    @reuses_output
     def test_a_dropped_output_is_gathered_into_again(self):
         circuit = recycling_circuit(18)
         amplitudes = run(circuit, 3, "statevector").final_state.amplitudes
@@ -731,6 +776,7 @@ class TestRecycledOutput:
         assert second.final_state.amplitudes.ctypes.data == address
         assert_exact(second, circuit, 1 << 16 | 7)
 
+    @reuses_output
     def test_apply_gate_recycles_too(self):
         first = apply_gate(init_state(17, 0), X(3)).amplitudes
         dropped = weakref.ref(first)
@@ -739,6 +785,30 @@ class TestRecycledOutput:
         assert second.amplitudes is dropped()
         assert np.flatnonzero(second.amplitudes).tolist() == [5 | 1 << 16]
 
+    @pytest.mark.parametrize("spoil", ["freeze", "restride"])
+    def test_a_spoilt_output_is_not_handed_out_again(self, spoil):
+        # a holder may make its state read-only, or give it zero strides,
+        # before dropping it; gathering into that array would fail, or write
+        # one amplitude over and over, on this run and every later one
+        circuit = recycling_circuit(17)
+        spoilt = run(circuit, 3, "statevector").final_state.amplitudes
+        if spoil == "freeze":
+            spoilt.setflags(write=False)
+        else:
+            with warnings.catch_warnings():  # numpy 2.4 deprecates setting strides
+                warnings.simplefilter("ignore", DeprecationWarning)
+                spoilt.strides = (0,)
+        dropped = weakref.ref(spoilt)
+        del spoilt
+        second = run(circuit, 5, "statevector")
+        assert dropped() is None
+        assert second.final_state.amplitudes.flags.writeable
+        assert_exact(second, circuit, 5)
+        after = apply_gate(init_state(17, 6), X(0)).amplitudes
+        assert after.flags.writeable
+        assert np.flatnonzero(after).tolist() == [7]
+
+    @reuses_output
     def test_another_width_releases_the_old_output_before_allocating(self, monkeypatch):
         wide = run(recycling_circuit(19), 9, "statevector").final_state.amplitudes
         dropped = weakref.ref(wide)
