@@ -11,44 +11,37 @@ a measured qubit, so every measurement reads the final basis state) and
 permutation: for each block of 2^16 output indices it pulls the indices
 back through the gates in reverse, then gathers the amplitudes with
 ``np.take`` into the output array. The pull-back is planned once per call,
-before the blocks: a gate whose
-controls no later gate writes flips the index by a function of the output
-index alone, so such gates are folded into a few precomputed tables, one
-per mask of controls above the block bits, and a block's start selects
-the tables whose mask it satisfies. Blocks whose starts select the same
-tables form a group; each thread XORs a group's tables into one combined
-table, and a block's indices are that table XOR its start, one XOR per
-block. Gates from the first one whose control a later gate writes on
-flip the index one by one. Compiled circuits emit gates in dependency
-order, so their gates are tables only. The indices are ``np.intp``, which
-``np.take`` uses without converting. Every index is an XOR of offsets,
-block start and gate masks, so it is in range once every gate's qubits
-are: the kernel checks that once per call, while it plans, because
-:func:`apply_gate` takes a gate no :class:`Circuit` admitted, and the take
-then runs in ``mode="wrap"``, which writes straight into the output (the
-default ``mode="raise"`` gathers each block into a buffer and copies it).
-For :func:`run`, right after a block is gathered, while it is still in
-cache, the kernel notes whether it holds a nonzero word, so the measured
-basis state is found in the occupied blocks alone, with no second pass
-over the state. The blocks are independent, so the two halves of the
-output range are gathered on two threads when two CPUs are usable (numpy
-releases the interpreter lock in these loops).
+before the blocks: a gate whose controls no later gate writes flips the
+index by a function of the output index alone, so such gates are folded
+into a few precomputed tables, one per mask of controls above the block
+bits, and a block's start selects the tables whose mask it satisfies.
+Blocks whose starts select the same tables form a group; each thread XORs
+a group's tables into one combined table, and a block's indices are that
+table XOR its start, one XOR per block. Gates from the first one whose
+control a later gate writes on flip the index one by one. Compiled
+circuits emit gates in dependency order, so their gates are tables only.
+The indices are ``np.intp``, which ``np.take`` uses without converting.
+Every index is an XOR of offsets, block start and gate masks, so it is in
+range once every gate's qubits are: the kernel checks that once per call,
+while it plans, because :func:`apply_gate` takes a gate no
+:class:`Circuit` admitted, and the take then runs in ``mode="wrap"``,
+which writes straight into its ``out`` array (the default ``mode="raise"``
+gathers into a buffer and copies it).
 
-The output array is recycled. Faulting in a fresh ``2^n``-amplitude
-array costs a large share of a run, so the kernel keeps its last output
-in one module-level slot and gathers into it again when the next call
-has the same shape and dtype, is still writeable and C-contiguous, and
-nothing else refers to it: no :class:`StateVector`, view or
-``memoryview`` (each holds a reference, which CPython's reference count
-shows). The count is trusted only on the CPython releases the tests run
-on (3.10 to 3.13, with the interpreter lock), and only if a probe at
-import reads one more while a second reference is held; elsewhere every
-run allocates. The gather writes every
-amplitude, so nothing of the earlier state survives. Otherwise the slot
-is released before a new array is allocated, so a run never holds more
-than the two states :func:`_check_memory` allows for. The one cost: after
-its holder drops a state, one state-sized array stays allocated until
-the next dense run.
+The kernel writes only the blocks that hold amplitude. Its output comes
+from ``np.zeros``, which numpy allocates with ``calloc``, so the pages of
+a large state are not backed by memory until they are written. Each thread
+gathers a block into its own one-block scratch buffer, which stays in
+cache, and copies it into the output only if it holds a nonzero byte; the
+same test flags the block as occupied, so :func:`run` finds the measured
+basis state in the occupied blocks alone, with no second pass over the
+state. A run from a basis state occupies one block and writes at most two.
+After an occupied block the next is gathered straight into the output, so
+a fully occupied state pays no extra copy. The blocks are independent, so
+the two halves of the output range are gathered on two threads when two
+CPUs are usable (numpy releases the interpreter lock in these loops).
+Every call returns a new array, so no run writes a state that a caller
+holds.
 
 :func:`init_state` allocates complex64: a permutation circuit run from a
 basis state only ever holds the amplitudes 0 and 1, which complex64 holds
@@ -58,8 +51,8 @@ keeps its own dtype through :func:`apply_gate`.
 
 from __future__ import annotations
 
+import operator
 import os
-import sys
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -80,76 +73,6 @@ DEFAULT_MAX_QUBITS = 26
 # Output indices per block of the fused gather: 2^16 indices (512 KiB as
 # 64-bit np.intp) stay in cache while a run's tables are XORed into them.
 _BLOCK_BITS = 16
-
-_spare_lock = threading.Lock()  # makes _output_like's check-then-take atomic
-
-# CPython releases whose reference counts the tests cover; on any other
-# interpreter the count is not trusted and every run allocates.
-_COUNTED_RELEASES = {(3, 10), (3, 11), (3, 12), (3, 13)}
-
-# _spare is the last output of _apply_segment, handed out again by
-# _output_like once nothing but this slot refers to it.
-_spare: np.ndarray | None = None
-
-
-def _spare_references() -> int:
-    return sys.getrefcount(_spare)
-
-
-def _calibrate() -> int | None:
-    """What :func:`_spare_references` reads when only the slot refers to ``_spare``.
-
-    The interpreter's own temporary references differ between CPython
-    releases, so the count is measured on a probe array, after enough calls
-    for the adaptive interpreter to have specialised the function as it
-    runs later. ``None``, which no count equals, so nothing is reused, on an
-    interpreter outside ``_COUNTED_RELEASES`` or without the interpreter
-    lock, or if the readings vary or do not rise by one while a second
-    reference is held.
-    """
-    global _spare
-    if (
-        sys.implementation.name != "cpython"
-        or sys.version_info[:2] not in _COUNTED_RELEASES
-        or not getattr(sys, "_is_gil_enabled", lambda: True)()
-    ):
-        return None
-    _spare = np.empty(0)
-    alone = {_spare_references() for _ in range(200)}
-    held = _spare
-    with_held = {_spare_references() for _ in range(200)}
-    del held
-    _spare = None
-    if len(alone) != 1 or with_held != {min(alone) + 1}:
-        return None
-    return alone.pop()
-
-
-_UNREFERENCED = _calibrate()
-
-
-def _output_like(amps: np.ndarray) -> np.ndarray:
-    """An uninitialised array like ``amps``: the recycled last output when it is free.
-
-    The slot's array is handed back only if its shape and dtype match, a
-    holder has not made it read-only (or restrided it) before dropping it,
-    and no other object refers to it. Otherwise the slot is emptied before
-    the new array is allocated, and the new array takes its place.
-    """
-    global _spare
-    with _spare_lock:
-        if (
-            _spare is not None
-            and _spare.shape == amps.shape
-            and _spare.dtype == amps.dtype
-            and _spare.flags.writeable
-            and _spare.flags.c_contiguous
-            and _spare_references() == _UNREFERENCED
-        ):
-            return _spare
-        _spare = None  # freed first, so two spare arrays never coexist
-        _spare = np.empty_like(amps)
-        return _spare
 
 
 def _bit(qubit: int) -> int:
@@ -231,27 +154,24 @@ def _plan(
     return base, list(tables.items()), steps
 
 
-def _apply_segment(
-    amps: np.ndarray, gates: Sequence[Gate], note_occupied: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
     """Apply a run of unitary gates as one gather, as the module docstring lays out.
 
-    Returns the output, an array from :func:`_output_like` whose every
-    amplitude the gather writes, and, if ``note_occupied``, one flag per
-    block of output indices, set when the block holds a nonzero byte, which
-    :func:`_occupied_index` reads (else ``None``). X, CNOT and CCNOT are
-    each their own inverse, so output amplitude ``i`` is input amplitude
-    ``g1(g2(...gk(i)))``: the index is pulled back through the gates from
-    last to first, and each thread reuses preallocated ``np.intp`` buffers.
-    :func:`_plan` raises :class:`SimulationError` before any gather if a
-    gate names a qubit outside the state: only then is every index below
-    ``amps.size``, which the unbuffered ``mode="wrap"`` take relies on.
+    Returns a new output array and one flag per block of output indices, set
+    when the block holds a nonzero byte, for :func:`_occupied_index`. X,
+    CNOT and CCNOT are each their own inverse, so output amplitude ``i`` is
+    input amplitude ``g1(g2(...gk(i)))``: the index is pulled back through
+    the gates from last to first, and each thread reuses preallocated
+    buffers. :func:`_plan` raises :class:`SimulationError` before any gather
+    if a gate names a qubit outside the state: only then is every index
+    below ``amps.size``, which the unbuffered ``mode="wrap"`` take relies
+    on.
     """
     base, tables, steps = _plan(gates, amps.size.bit_length() - 1)
     block = base.size
     blocks = amps.size // block
-    out = _output_like(amps)
-    occupied = np.zeros(blocks, dtype=bool) if note_occupied else None
+    out = np.zeros(amps.shape, amps.dtype)  # not zeros_like, which writes every page
+    occupied = np.zeros(blocks, dtype=bool)
     errors: list[BaseException] = []
 
     selector = 0  # the bits of a block's start that choose its tables
@@ -265,6 +185,8 @@ def _apply_segment(
         try:
             index, combined = np.empty(block, np.intp), np.empty(block, np.intp)
             flips = np.empty(block, np.intp)
+            scratch = np.empty(block, amps.dtype)
+            direct = False  # whether the last block was occupied
             ordered = sorted(range(first, last), key=selected_by)
             for group, members in groupby(ordered, key=selected_by):
                 source = base
@@ -276,10 +198,12 @@ def _apply_segment(
                     np.bitwise_xor(source, start, out=index)
                     for control_mask, target_mask in steps:
                         _flip(index, control_mask, target_mask, flips)
-                    gathered = out[start : start + block]
+                    target = out[start : start + block]
+                    gathered = target if direct else scratch
                     np.take(amps, index, out=gathered, mode="wrap")
-                    if occupied is not None:
-                        occupied[k] = gathered.view(np.uint8).max() > 0
+                    direct = occupied[k] = gathered.view(np.uint8).max() > 0
+                    if direct and gathered is scratch:
+                        target[...] = scratch
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -348,7 +272,14 @@ def _occupied_index(amps: np.ndarray, occupied: np.ndarray, tol: float = 1e-9) -
 
 
 def init_state(num_qubits: int, basis: int = 0, max_qubits: int | None = None) -> StateVector:
-    """A dense state with amplitude 1 at ``basis`` and 0 elsewhere."""
+    """A dense state with amplitude 1 at ``basis`` and 0 elsewhere.
+
+    A non-integer (to ``operator.index``) or out-of-range argument raises ValueError.
+    """
+    try:
+        num_qubits, basis = operator.index(num_qubits), operator.index(basis)
+    except TypeError:
+        raise ValueError(f"non-integer num_qubits {num_qubits!r} or basis {basis!r}") from None
     cap = DEFAULT_MAX_QUBITS if max_qubits is None else max_qubits
     if num_qubits > cap:
         raise SimulationError(
@@ -380,7 +311,14 @@ def _check_memory(num_qubits: int, dtype: np.dtype | type) -> None:
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one unitary gate; returns a new state, input untouched."""
+    """Apply one unitary gate; returns a new state, input untouched.
+
+    Raises :class:`SimulationError` unless the amplitudes are a 1-D array of
+    ``2^num_qubits`` entries: the kernel takes the width from their number.
+    """
+    shape = getattr(state.amplitudes, "shape", None)
+    if shape != (2**state.num_qubits,):
+        raise SimulationError(f"{state.num_qubits} qubits need 2^n amplitudes, not shape {shape}")
     amplitudes, _ = _apply_segment(state.amplitudes, [gate])
     return StateVector(state.num_qubits, amplitudes)
 
@@ -402,7 +340,7 @@ def run(
     unitary = [gate for gate in circuit.gates if type(gate) is not Measure]
     located = initial
     if unitary:
-        amplitudes, occupied = _apply_segment(state.amplitudes, unitary, bool(measures))
+        amplitudes, occupied = _apply_segment(state.amplitudes, unitary)
         state = StateVector(state.num_qubits, amplitudes)
         if measures:
             located = _occupied_index(amplitudes, occupied)

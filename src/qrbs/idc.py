@@ -421,5 +421,4 @@ def verify_reference_table(
         bits = staged.result.bitstring
         ok = bits == expected_bits and staged.stages == expected
         rows.append(ReferenceRow(tnm, qubit, bits, staged.stages, expected_bits, expected, ok))
-        del staged  # frees a dense state, so the next row's run can recycle it
     return tuple(rows)
