@@ -35,9 +35,8 @@ gathers a block into its own one-block scratch buffer, which stays in
 cache, and copies it into the output only if it holds a nonzero byte; the
 same test flags the block as occupied, so :func:`run` finds the measured
 basis state in the occupied blocks alone, with no second pass over the
-state. A run from a basis state occupies one block and writes at most two.
-After an occupied block the next is gathered straight into the output, so
-a fully occupied state pays no extra copy. The blocks are independent, so
+state. A run from a basis state occupies one block and writes only that
+one. The blocks are independent, so
 the two halves of the output range are gathered on two threads when two
 CPUs are usable (numpy releases the interpreter lock in these loops).
 Every call returns a new array, so no run writes a state that a caller
@@ -186,7 +185,6 @@ def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> tuple[np.ndarray,
             index, combined = np.empty(block, np.intp), np.empty(block, np.intp)
             flips = np.empty(block, np.intp)
             scratch = np.empty(block, amps.dtype)
-            direct = False  # whether the last block was occupied
             ordered = sorted(range(first, last), key=selected_by)
             for group, members in groupby(ordered, key=selected_by):
                 source = base
@@ -198,12 +196,10 @@ def _apply_segment(amps: np.ndarray, gates: Sequence[Gate]) -> tuple[np.ndarray,
                     np.bitwise_xor(source, start, out=index)
                     for control_mask, target_mask in steps:
                         _flip(index, control_mask, target_mask, flips)
-                    target = out[start : start + block]
-                    gathered = target if direct else scratch
-                    np.take(amps, index, out=gathered, mode="wrap")
-                    direct = occupied[k] = gathered.view(np.uint8).max() > 0
-                    if direct and gathered is scratch:
-                        target[...] = scratch
+                    np.take(amps, index, out=scratch, mode="wrap")
+                    occupied[k] = scratch.view(np.uint8).max() > 0
+                    if occupied[k]:
+                        out[start : start + block] = scratch
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 

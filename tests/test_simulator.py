@@ -694,7 +694,7 @@ class TestPlannedPullBack:
         assert_gathers_like_the_oracle(num_qubits, gates)
 
 
-def recycling_circuit(num_qubits: int) -> Circuit:
+def measured_circuit(num_qubits: int) -> Circuit:
     """40 random gates, then measurements of the lowest, middle and highest qubits."""
     rng = random.Random(num_qubits)
     circuit = random_circuit(rng, num_qubits, 40, with_measures=False)
@@ -720,7 +720,7 @@ def held_bytes(held) -> bytes:
 
 
 class TestRecycledOutput:
-    """No dense run writes into an output that an earlier run returned."""
+    """Every dense run returns a fresh output; none writes one an earlier run returned."""
 
     @pytest.mark.parametrize(
         "hold",
@@ -734,7 +734,7 @@ class TestRecycledOutput:
         ids=["result", "state", "view", "view-of-view", "memoryview"],
     )
     def test_a_held_output_is_never_written(self, hold):
-        circuit = recycling_circuit(18)
+        circuit = measured_circuit(18)
         held = hold(run(circuit, 1, "statevector"))
         before = held_bytes(held)
         for initial in (2, 1 << 17 | 5):
@@ -744,9 +744,9 @@ class TestRecycledOutput:
     @pytest.mark.parametrize("spoil", ["freeze", "restride"])
     def test_a_spoilt_output_is_not_handed_out_again(self, spoil):
         # a holder may make its state read-only, or give it zero strides,
-        # before dropping it; gathering into that array would fail, or write
-        # one amplitude over and over, on this run and every later one
-        circuit = recycling_circuit(17)
+        # before dropping it; the next run and apply_gate still return a
+        # fresh, writable output with the exact state
+        circuit = measured_circuit(17)
         spoilt = run(circuit, 3, "statevector").final_state.amplitudes
         if spoil == "freeze":
             spoilt.setflags(write=False)
@@ -767,7 +767,7 @@ class TestRecycledOutput:
     def test_concurrent_runs_get_distinct_buffers(self):
         # four threads on two CPUs, each holding its result while the others
         # hold theirs, then all dropping them, round after round
-        circuit = recycling_circuit(17)
+        circuit = measured_circuit(17)
         threads, rounds = 4, 12
         barrier = threading.Barrier(threads, timeout=60)
         addresses: list[set] = [set() for _ in range(rounds)]
