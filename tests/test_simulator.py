@@ -25,7 +25,7 @@ from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, gate_qubits
 from qrbs.compiler import CompileOptions
 from qrbs.dense import StateVector, _apply_segment, _occupied_index, apply_gate, init_state
 from qrbs.errors import SimulationError
-from qrbs.idc import build_idc_circuit
+from qrbs.idc import INPUT_COMPLEXES, build_idc_circuit, run_activation
 from qrbs.simulator import RunResult, run
 
 
@@ -604,7 +604,7 @@ class TestPlannedPullBack:
     @example(seed=2, num_qubits=17, num_gates=40)
     def test_dependency_ordered_runs_are_all_tables(self, seed, num_qubits, num_gates):
         gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
-        _, tables, steps = dense_module._plan(gates, num_qubits)
+        _, tables, steps, _ = dense_module._plan(gates, num_qubits)
         assert steps == []
         assert len(tables) <= len(high_control_masks(gates))
         assert_gathers_like_the_oracle(num_qubits, gates)
@@ -614,7 +614,7 @@ class TestPlannedPullBack:
         tail = [CNOT(0, 16), CNOT(17, 16), CCNOT(0, 17, 16), CNOT(16, 18), CNOT(4, 18)]
         tail.append(CCNOT(16, 4, 18))
         gates = swap + tail
-        _, tables, steps = dense_module._plan(gates, 19)
+        _, tables, steps, _ = dense_module._plan(gates, 19)
         # the tail and the swap's last CNOT are tables; its first two CNOTs read 17 after it
         assert [high for high, _ in tables] == [1 << 16, 1 << 17]
         assert steps == [(1 << 17, 1 << 4), (1 << 4, 1 << 17)]
@@ -622,7 +622,7 @@ class TestPlannedPullBack:
 
     def test_run_that_turns_non_static_at_once(self):
         gates = [CCNOT(2, 16, 17), CNOT(17, 2), CNOT(2, 16), CCNOT(16, 17, 3), X(17)]
-        base, tables, steps = dense_module._plan(gates, 18)
+        base, tables, steps, _ = dense_module._plan(gates, 18)
         assert tables == [] and len(steps) == 4
         assert np.array_equal(base, np.arange(1 << 16) ^ 1 << 17)
         assert_gathers_like_the_oracle(18, gates)
@@ -663,7 +663,7 @@ class TestPlannedPullBack:
 
     def test_tables_are_bounded_by_the_high_control_masks(self):
         gates = [CNOT(5, 17), CNOT(17, 5)] * 1000
-        _, tables, steps = dense_module._plan(gates, 18)
+        _, tables, steps, _ = dense_module._plan(gates, 18)
         assert len(tables) <= len(high_control_masks(gates)) == 1
         assert len(steps) == len(gates) - 1
         assert_gathers_like_the_oracle(18, gates)
@@ -688,10 +688,73 @@ class TestPlannedPullBack:
         if swap_head:  # swap a low and a high qubit first: its first two CNOTs are steps
             low, high = rng.randrange(16), rng.randrange(16, num_qubits)
             gates = [CNOT(low, high), CNOT(high, low), CNOT(low, high)] + gates
-        _, tables, steps = dense_module._plan(gates, num_qubits)
+        _, tables, steps, _ = dense_module._plan(gates, num_qubits)
         assert len(high_control_masks(gates)) >= len(tables) >= 2 * len(highs) - 1
         assert (len(steps) >= 2) == swap_head
         assert_gathers_like_the_oracle(num_qubits, gates)
+
+
+class TestReach:
+    """Given the occupied input blocks, the kernel gathers only the blocks they can reach."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(17, 20),
+        st.integers(0, 30),
+        st.booleans(),
+        st.integers(1, 3),
+    )
+    # head CNOT(12, 16), CNOT(16, 12) alone: only the step CNOT(12, 16) flips qubit 16
+    @example(seed=0, num_qubits=17, num_gates=0, swap_head=True, held=1)
+    @example(seed=7, num_qubits=20, num_gates=30, swap_head=True, held=2)
+    @example(seed=10, num_qubits=17, num_gates=30, swap_head=False, held=1)
+    def test_sourced_gather_matches_the_full_gather(
+        self, seed, num_qubits, num_gates, swap_head, held
+    ):
+        rng = random.Random(seed)
+        gates = dependency_ordered_gates(rng, num_qubits, num_gates)
+        if swap_head:
+            # a swap of a low and a high qubit, or its first two CNOTs: either way the
+            # first CNOT is applied one by one and may flip the high qubit, which in the
+            # shorter head no table flips
+            low, high = rng.randrange(16), rng.randrange(16, num_qubits)
+            head = [CNOT(low, high), CNOT(high, low), CNOT(low, high)]
+            gates = head[: rng.choice([2, 3])] + gates
+        blocks = 1 << num_qubits - 16
+        values = np.zeros(1 << num_qubits, np.complex64)
+        for block in rng.sample(range(blocks), min(held, blocks)):
+            for _ in range(rng.randint(1, 4)):
+                word = rng.choice([1, 0.5 - 1j, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
+                values[block << 16 | rng.randrange(1 << 16)] = word
+        # occupancy by nonzero byte, as the kernel's own scan flags it: -0.0 counts
+        sources = np.flatnonzero(values.view(np.uint8).reshape(blocks, -1).max(axis=1))
+        for cpus in (1, 2):
+            with mock.patch.object(dense_module, "_usable_cpus", lambda: cpus):
+                full, full_occupied = _apply_segment(values, gates)
+                sourced, sourced_occupied = _apply_segment(values, gates, sources)
+            assert sourced.tobytes() == full.tobytes()
+            assert np.array_equal(sourced_occupied, full_occupied)
+
+    def test_a_staging_run_gathers_under_a_quarter_of_its_blocks(self, monkeypatch):
+        compiled = build_idc_circuit()
+        blocks = 1 << compiled.circuit.num_qubits - 16
+        assert blocks == 256  # 24 qubits
+        takes = []
+        take = np.take
+
+        def counted(*args, **kwargs):
+            takes.append(1)
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted)
+        for qubit in range(len(INPUT_COMPLEXES)):
+            one_hot = [int(k == qubit) for k in range(len(INPUT_COMPLEXES))]
+            takes.clear()
+            stages, result = run_activation(one_hot, "statevector", compiled)
+            assert 0 < len(takes) < blocks // 4
+            fast_stages, fast = run_activation(one_hot, "fast", compiled)
+            assert stages == fast_stages and result.bits == fast.bits
 
 
 def measured_circuit(num_qubits: int) -> Circuit:
@@ -719,7 +782,7 @@ def held_bytes(held) -> bytes:
     return held.tobytes()
 
 
-class TestRecycledOutput:
+class TestFreshOutput:
     """Every dense run returns a fresh output; none writes one an earlier run returned."""
 
     @pytest.mark.parametrize(
