@@ -5,24 +5,26 @@ and :func:`qrbs.simulator.run` loads it on the first
 ``engine="statevector"`` run, so a process that only runs the fast engine
 never pays for numpy.
 
-The kernel is used by both :func:`run` (once per circuit: no gate touches
-a measured qubit, so every measurement reads the final basis state) and
-:func:`apply_gate` (once per gate). It applies its gates as one
-permutation: for each block of 2^16 output indices it pulls the indices
-back through the gates in reverse, then gathers the amplitudes with
-``np.take`` into the output array. The pull-back is planned once per call,
-before the blocks: a gate whose controls no later gate writes flips the
-index by a function of the output index alone, so such gates are folded
-into a few precomputed tables, one per mask of controls above the block
-bits, and a block's start selects the tables whose mask it satisfies.
-Blocks whose starts select the same tables form a group; each thread XORs
-a group's tables into one combined table, and a block's indices are that
-table XOR its start, one XOR per block. Gates from the first one whose
-control a later gate writes on flip the index one by one. Compiled
-circuits emit gates in dependency order, so their gates are tables only.
+The kernel applies a static run of gates as one permutation: a run in
+which no gate's control is written by a later gate of the run, so each
+gate flips the pulled-back index by a function of the output index alone.
+:func:`run` cuts a circuit's unitary gates into maximal static runs
+(:func:`_static_runs`) and gathers them one after the other: no gate
+touches a measured qubit, so every measurement reads the final basis
+state. :func:`apply_gate` gathers its one gate, which is always a static
+run. Compiled circuits emit gates in dependency order, so each of their
+circuits is a single run. For each block of 2^16 output indices the
+kernel pulls the indices back through the run, then gathers the
+amplitudes with ``np.take`` into the output array. The pull-back is
+planned once per run, before the blocks: the gates are folded into a few
+precomputed tables, one per mask of controls above the block bits, and a
+block's start selects the tables whose mask it satisfies. Blocks whose
+starts select the same tables form a group; each thread XORs a group's
+tables into one combined table, and a block's indices are that table XOR
+its start, one XOR per block.
 The indices are ``np.intp``, which ``np.take`` uses without converting.
 Every index is an XOR of offsets, block start and gate masks, so it is in
-range once every gate's qubits are: the kernel checks that once per call,
+range once every gate's qubits are: the kernel checks that once per run,
 while it plans, because :func:`apply_gate` takes a gate no
 :class:`Circuit` admitted, and the take then runs in ``mode="wrap"``,
 which writes straight into its ``out`` array (the default ``mode="raise"``
@@ -30,17 +32,17 @@ gathers into a buffer and copies it).
 
 The kernel gathers only the output blocks that can hold amplitude. Its
 caller names the input blocks that may hold a nonzero byte: :func:`run`
-names the block of its basis state, :func:`apply_gate` every block (and
-then nothing is skipped, and no reach is computed). Output block ``k``
-reads input block ``k ^ h`` for each value ``h`` that its group's combined
-table takes above the block bits. Those bits depend only on the low
-controls of the gates that target a qubit above the block bits, so the plan
-lists the few offsets that vary only those controls, and a group's values
-cost one small take from each of its tables. Gates applied one by one may
-still flip a target above the block bits, so the values are closed under
-those targets. An output block that can read no named block pulls back
-only zeros and is never gathered: a 25-qubit staging run gathers 66 of its
-512 blocks.
+names the block of its basis state for its first run, and for each later
+run the blocks that the run before it flagged occupied; :func:`apply_gate`
+names every block (and then nothing is skipped, and no reach is
+computed). Output block ``k`` reads input block ``k ^ h`` for each value
+``h`` that its group's combined table takes above the block bits. Those
+bits depend only on the low controls of the gates that target a qubit
+above the block bits, so the plan lists the few offsets that vary only
+those controls, and a group's values cost one small take from each of its
+tables. An output block that can read no named block pulls back only
+zeros and is never gathered: a 25-qubit staging run gathers 66 of its 512
+blocks.
 
 The kernel writes only the blocks that hold amplitude. Its output comes
 from ``np.zeros``, which numpy allocates with ``calloc``, so the pages of
@@ -51,11 +53,11 @@ same test flags the block as occupied, so :func:`run` finds the measured
 basis state in the occupied blocks alone, with no second pass over the
 state. A run from a basis state occupies one block and writes only that
 one. The blocks are independent, so when two CPUs are usable the blocks to
-gather, in ascending order, are split into two runs of equal count, each
-gathered on its own thread (numpy releases the interpreter lock in these
-loops); halving the index range instead would leave one thread most of the
-reachable blocks. Every call returns a new array, so no run writes a state
-that a caller holds.
+gather are split into two spans of equal count, each gathered on its own
+thread (numpy releases the interpreter lock in these loops); halving the
+index range instead would leave one thread most of the reachable blocks.
+Every call returns a new array, so no run writes a state that a caller
+holds.
 
 :func:`init_state` allocates complex64: a permutation circuit run from a
 basis state only ever holds the amplitudes 0 and 1, which complex64 holds
@@ -80,8 +82,8 @@ from .errors import SimulationError
 __all__ = ["DEFAULT_MAX_QUBITS", "StateVector", "apply_gate", "init_state", "run"]
 
 # 2^26 complex64 amplitudes is 512 MiB, and run() holds two states while it
-# gathers one into the other (1 GiB at peak); larger needs an explicit
-# override.
+# gathers one static run into the next (1 GiB at peak); larger needs an
+# explicit override.
 DEFAULT_MAX_QUBITS = 26
 
 # Output indices per block of the fused gather: 2^16 indices (512 KiB as
@@ -115,17 +117,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _flip(index: np.ndarray, control_mask: int, target_mask: int, flips: np.ndarray) -> None:
-    """XOR ``target_mask`` into ``index`` where every bit of ``control_mask`` is set."""
-    if not control_mask:
-        index ^= target_mask
-        return
-    np.bitwise_and(index, control_mask, out=flips)
-    np.equal(flips, control_mask, out=flips)
-    flips *= target_mask
-    index ^= flips
-
-
 def _subcube(mask: int, value: int, block_bits: int) -> tuple:
     """Index ``offsets.reshape((2,) * block_bits)`` where every bit in ``mask`` is ``value``.
 
@@ -135,45 +126,56 @@ def _subcube(mask: int, value: int, block_bits: int) -> tuple:
     return tuple(value if mask >> bit & 1 else slice(None) for bit in reversed(range(block_bits)))
 
 
+def _static_runs(gates: Sequence[Gate]) -> list[list[Gate]]:
+    """Cut unitary ``gates``, in order, into maximal runs that :func:`_plan` can plan.
+
+    The gates are walked last first: a gate whose control a gate of the
+    current run writes closes that run and becomes the last gate of the
+    run before it.
+    """
+    runs: list[list[Gate]] = []
+    written = 0  # targets of the current run's gates after the one at hand
+    for gate in reversed(gates):
+        control_mask, target_mask = _gate_masks(gate)
+        if not runs or control_mask & written:
+            runs.append([])
+            written = 0
+        runs[-1].append(gate)
+        written |= target_mask
+    return [cut[::-1] for cut in reversed(runs)]
+
+
 def _plan(
     gates: Sequence[Gate], num_qubits: int
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], list[tuple[int, int]], np.ndarray]:
-    """Plan the pull-back of a run of gates on ``num_qubits`` qubits, block by block.
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], np.ndarray]:
+    """Plan the pull-back of a static run of gates on ``num_qubits`` qubits, block by block.
 
-    A block is ``2^min(16, num_qubits)`` output indices. The gates are
-    walked last first; a gate that names a qubit at or above ``num_qubits``
-    raises :class:`SimulationError`. A gate is static when no gate pulled
-    back before it wrote one of its controls: its flip then depends only on
+    A block is ``2^min(16, num_qubits)`` output indices; a gate that names
+    a qubit at or above ``num_qubits`` raises :class:`SimulationError`. In
+    a static run (:func:`_static_runs`) each gate's flip depends only on
     the output index, as ``(low controls set) << target`` within a block
-    times ``start & high == high`` for the block. Static gates with the same
-    high-control mask share one table, the XOR of their low-bit flips; each
-    flip is XORed in place into the sub-cube of offsets whose low controls
-    are set. Returns ``(base, tables, steps, probe)``: ``base`` is the block
-    offsets XOR the table of the gates with no high control, ``tables``
-    pairs each other high-control mask with its table, ``steps`` holds
-    ``(control mask, target mask)`` for every gate from the first
-    non-static one on, applied one by one after the tables, and ``probe``
-    holds the offsets whose bits are all among the low controls of static
-    gates with a target above the block bits: every table's bits above the
-    block bits depend on those controls alone, so the table's entries at
-    ``probe`` take every value above the block bits that it takes at all.
+    times ``start & high == high`` for the block. Gates with the same
+    high-control mask share one table, the XOR of their low-bit flips;
+    each flip is XORed in place into the sub-cube of offsets whose low
+    controls are set. Returns ``(base, tables, probe)``: ``base`` is the
+    block offsets XOR the table of the gates with no high control,
+    ``tables`` pairs each other high-control mask with its table, and
+    ``probe`` holds the offsets whose bits are all among the low controls
+    of the gates with a target above the block bits: every table's bits
+    above the block bits depend on those controls alone, so the table's
+    entries at ``probe`` take every value above the block bits that it
+    takes at all.
     """
     block_bits = min(_BLOCK_BITS, num_qubits)
     cube = (2,) * block_bits  # one axis per bit of a block offset, highest bit first
     offsets = np.arange(1 << block_bits, dtype=np.intp)
     low = (1 << block_bits) - 1
     tables: dict[int, np.ndarray] = {0: offsets.copy()}
-    steps: list[tuple[int, int]] = []
-    written = 0  # targets of the static gates planned so far
-    varied = 0  # low controls of the static gates with a target above the block bits
-    for gate in reversed(gates):
+    varied = 0  # low controls of the gates with a target above the block bits
+    for gate in gates:
         control_mask, target_mask = _gate_masks(gate)
         if (control_mask | target_mask) >> num_qubits:
             raise SimulationError(f"gate {gate!r} out of range for {num_qubits} qubits")
-        if steps or control_mask & written:
-            steps.append((control_mask, target_mask))
-            continue
-        written |= target_mask
         low_controls = control_mask & low
         high = control_mask & ~low
         if target_mask > low:
@@ -184,29 +186,30 @@ def _plan(
         table.reshape(cube)[_subcube(low_controls, 1, block_bits)] ^= target_mask
     base = tables.pop(0)
     probe = offsets.reshape(cube)[_subcube(low & ~varied, 0, block_bits)].ravel()
-    return base, list(tables.items()), steps, probe
+    return base, list(tables.items()), probe
 
 
 def _apply_segment(
     amps: np.ndarray, gates: Sequence[Gate], sources: Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a run of unitary gates as one gather, as the module docstring lays out.
+    """Apply a static run of unitary gates as one gather, as the module docstring lays out.
 
     ``sources`` numbers the input blocks of ``2^min(16, n)`` amplitudes that
     may hold a nonzero byte; every other block must hold only zero bytes
     (None: every block may). Returns a new output array and one flag per
-    output block, set when the block holds a nonzero byte, for
-    :func:`_occupied_index`. X, CNOT and CCNOT are each their own inverse,
-    so output amplitude ``i`` is input amplitude ``g1(g2(...gk(i)))``: the
-    index is pulled back through the gates from last to first, and each
-    thread reuses preallocated buffers. Only the output blocks whose
-    pulled-back indices can fall in a source block are gathered; every other
-    block pulls back only zeros and stays as ``np.zeros`` left it.
-    :func:`_plan` raises :class:`SimulationError` before any gather if a gate
-    names a qubit outside the state: only then is every index below
-    ``amps.size``, which the unbuffered ``mode="wrap"`` take relies on.
+    output block, set when the block holds a nonzero byte, for the next
+    run's ``sources`` and :func:`_occupied_index`. X, CNOT and CCNOT are
+    each their own inverse, so output amplitude ``i`` is input amplitude
+    ``g1(g2(...gk(i)))``: the index is pulled back through the gates from
+    last to first, and each thread reuses preallocated buffers. Only the
+    output blocks whose pulled-back indices can fall in a source block are
+    gathered; every other block pulls back only zeros and stays as
+    ``np.zeros`` left it. :func:`_plan` raises :class:`SimulationError`
+    before any gather if a gate names a qubit outside the state: only then
+    is every index below ``amps.size``, which the unbuffered ``mode="wrap"``
+    take relies on.
     """
-    base, tables, steps, probe = _plan(gates, amps.size.bit_length() - 1)
+    base, tables, probe = _plan(gates, amps.size.bit_length() - 1)
     block = base.size
     blocks = amps.size // block
     out = np.zeros(amps.shape, amps.dtype)  # not zeros_like, which writes every page
@@ -221,15 +224,13 @@ def _apply_segment(
         return k * block & selector
 
     held = None if sources is None else np.unique(np.asarray(sources, np.intp))
-    toggles = {target_mask // block for _, target_mask in steps if target_mask >= block}
 
     def reached(group: int, members: Iterable[int]) -> list[int]:
         """The members of ``group`` whose pulled-back indices can fall in a ``held`` block.
 
         Output block ``k`` reads input block ``k ^ h`` for each value ``h``
-        that the group's combined table takes above the block bits (all of
-        them occur at ``probe``), or that value with any of ``toggles``
-        flipped by a step.
+        that the group's combined table takes above the block bits, and
+        all of them occur at ``probe``.
         """
         values = base[probe]
         for high, table in tables:
@@ -237,22 +238,20 @@ def _apply_segment(
                 values ^= table[probe]
         hit = np.zeros(blocks, dtype=bool)
         hit[values // block] = True
-        for toggle in toggles:
-            hit |= hit[np.arange(blocks) ^ toggle]
         members = np.fromiter(members, np.intp)
         return members[hit[members[:, None] ^ held].any(axis=1)].tolist()
 
-    work: Sequence[int] = range(blocks)  # the blocks to gather, in ascending order
-    if held is not None and held.size < blocks:  # else no block is out of reach
-        grouped = groupby(sorted(work, key=selected_by), key=selected_by)
-        work = sorted(k for group, members in grouped for k in reached(group, members))
+    work: list[int] = []  # the blocks to gather, grouped by the tables their starts select
+    for group, members in groupby(sorted(range(blocks), key=selected_by), key=selected_by):
+        if held is not None and held.size < blocks:  # else no block is out of reach
+            members = reached(group, members)
+        work += members
 
     def gather(span: Sequence[int]) -> None:
         try:
             index, combined = np.empty(block, np.intp), np.empty(block, np.intp)
-            flips = np.empty(block, np.intp)
             scratch = np.empty(block, amps.dtype)
-            for group, members in groupby(sorted(span, key=selected_by), key=selected_by):
+            for group, members in groupby(span, key=selected_by):
                 source = base
                 for high, table in tables:
                     if group & high == high:
@@ -260,8 +259,6 @@ def _apply_segment(
                 for k in members:
                     start = k * block
                     np.bitwise_xor(source, start, out=index)
-                    for control_mask, target_mask in steps:
-                        _flip(index, control_mask, target_mask, flips)
                     np.take(amps, index, out=scratch, mode="wrap")
                     occupied[k] = scratch.view(np.uint8).max() > 0
                     if occupied[k]:
@@ -269,7 +266,7 @@ def _apply_segment(
         except BaseException as exc:  # re-raised by the calling thread
             errors.append(exc)
 
-    # equal counts of consecutive blocks to gather, not halves of the index range
+    # equal counts of blocks to gather, not halves of the index range
     threads = max(1, min(2, _usable_cpus(), len(work)))
     bounds = [len(work) * k // threads for k in range(threads + 1)]
     spans = [work[first:last] for first, last in zip(bounds, bounds[1:])]
@@ -359,7 +356,7 @@ def init_state(num_qubits: int, basis: int = 0, max_qubits: int | None = None) -
 
 
 def _check_memory(num_qubits: int, dtype: np.dtype | type) -> None:
-    """Fail unless two dense states, the gather's peak in :func:`run`, fit in RAM."""
+    """Fail unless two dense states, the peak of :func:`run`'s gathers, fit in RAM."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -392,21 +389,23 @@ def run(
 
     :class:`Circuit` lets no gate read or write a qubit after it is
     measured, so a measured qubit ends the circuit holding the bit it was
-    measured with. The unitary gates are therefore applied as one gather,
-    and every measurement reads the one basis index located after it
-    (``initial`` when there is no unitary gate, and no gather). A circuit
-    with no measurement locates nothing.
+    measured with. The unitary gates are therefore gathered static run by
+    static run, and every measurement reads the one basis index located
+    after the last (``initial`` when there is no unitary gate, and no
+    gather). A circuit with no measurement locates nothing. Only this loop
+    holds each state, so at most two are alive at once.
     """
-    state = init_state(circuit.num_qubits, initial, max_qubits)
+    amplitudes = init_state(circuit.num_qubits, initial, max_qubits).amplitudes
     measures = [gate for gate in circuit.gates if type(gate) is Measure]
     unitary = [gate for gate in circuit.gates if type(gate) is not Measure]
+    sources, occupied = [initial >> _BLOCK_BITS], None
+    for gates in _static_runs(unitary):
+        amplitudes, occupied = _apply_segment(amplitudes, gates, sources)
+        sources = np.flatnonzero(occupied)
     located = initial
-    if unitary:
-        amplitudes, occupied = _apply_segment(state.amplitudes, unitary, [initial >> _BLOCK_BITS])
-        state = StateVector(state.num_qubits, amplitudes)
-        if measures:
-            located = _occupied_index(amplitudes, occupied)
+    if measures and occupied is not None:
+        located = _occupied_index(amplitudes, occupied)
     bits = [0] * circuit.num_clbits
     for gate in measures:
         bits[gate.clbit] = located >> gate.qubit & 1
-    return tuple(bits), state
+    return tuple(bits), StateVector(circuit.num_qubits, amplitudes)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 import warnings
 import weakref
 from itertools import groupby
@@ -393,7 +394,7 @@ class TestFusedSegmentKernel:
         amplitudes = values
         for measuring, gates in groupby(circuit.gates, key=lambda gate: isinstance(gate, Measure)):
             if not measuring:
-                amplitudes, _ = _apply_segment(amplitudes, list(gates))
+                amplitudes, _ = gather_runs(amplitudes, list(gates))
         expected = np.empty_like(values)
         expected[as_permutation(circuit, max_qubits=18)] = values  # amplitude at i moves to perm[i]
         assert np.array_equal(amplitudes, expected)
@@ -420,12 +421,12 @@ class TestFusedSegmentKernel:
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_one_thread_and_two_threads_gather_the_same_bytes(self, monkeypatch, dtype):
-        rng = random.Random(19)
-        circuit = random_circuit(rng, 18, 60, with_measures=False)
+        gates = dependency_ordered_gates(random.Random(19), 18, 60)
+        assert len(dense_module._static_runs(gates)) == 1  # so the call below is the whole gather
         values = np.random.default_rng(19).standard_normal((2, 1 << 18))
         values = (values[0] + 1j * values[1]).astype(dtype)
         expected = np.empty_like(values)
-        expected[as_permutation(circuit, max_qubits=18)] = values
+        expected[as_permutation(Circuit(18).extend(gates), max_qubits=18)] = values
         started = []
 
         class CountedThread(dense_module.threading.Thread):
@@ -440,7 +441,7 @@ class TestFusedSegmentKernel:
             monkeypatch.setattr(dense_module.os, "sched_getaffinity", lambda pid: usable, raising=False)
             monkeypatch.setattr(dense_module.os, "cpu_count", lambda: len(usable))
             started.clear()
-            gathered[cpus], _ = _apply_segment(values, circuit.gates)
+            gathered[cpus], _ = _apply_segment(values, gates)
             assert len(started) == cpus - 1  # the calling thread gathers one half itself
         assert gathered[1].dtype == gathered[2].dtype == dtype
         assert gathered[1].tobytes() == gathered[2].tobytes() == expected.tobytes()
@@ -535,8 +536,11 @@ class TestMeasuredRuns:
         circuit = interleaved_circuit(random.Random(43), 12, 40)
         kinds = [isinstance(gate, Measure) for gate in circuit.gates]
         assert kinds.count(True) > 1 and (True, False) in zip(kinds, kinds[1:])
+        unitary = [gate for gate in circuit.gates if not isinstance(gate, Measure)]
+        runs = len(dense_module._static_runs(unitary))
+        assert runs > 1
         assert run(circuit, 5, "statevector").bits == run(circuit, 5, "fast").bits
-        assert calls == {"_apply_segment": 1, "_occupied_index": 1}
+        assert calls == {"_apply_segment": runs, "_occupied_index": 1}
 
         calls.update(dict.fromkeys(calls, 0))
         measured_only = Circuit(3, 2).append(Measure(0, 0)).append(Measure(2, 1))
@@ -586,6 +590,20 @@ def high_control_masks(gates) -> set:
     return masks - {0}
 
 
+def gather_runs(values: np.ndarray, gates, sources=None) -> tuple:
+    """Gather ``gates`` static run by static run, as ``dense.run`` does.
+
+    Each run reads the blocks that the run before it flagged occupied.
+    Returns the last run's output and occupancy flags (``values`` and None
+    when there is no gate).
+    """
+    occupied = None
+    for gates_of_run in dense_module._static_runs(gates):
+        values, occupied = _apply_segment(values, gates_of_run, sources)
+        sources = np.flatnonzero(occupied)
+    return values, occupied
+
+
 def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
     values = np.random.default_rng(num_qubits).standard_normal((2, 1 << num_qubits))
     values = (values[0] + 1j * values[1]).astype(np.complex64)
@@ -594,7 +612,7 @@ def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
     expected[as_permutation(circuit, max_qubits=num_qubits)] = values
     for cpus in (1, 2):
         with mock.patch.object(dense_module, "_usable_cpus", lambda: cpus):
-            assert np.array_equal(_apply_segment(values, gates)[0], expected)
+            assert np.array_equal(gather_runs(values, gates)[0], expected)
 
 
 class TestPlannedPullBack:
@@ -604,8 +622,8 @@ class TestPlannedPullBack:
     @example(seed=2, num_qubits=17, num_gates=40)
     def test_dependency_ordered_runs_are_all_tables(self, seed, num_qubits, num_gates):
         gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
-        _, tables, steps, _ = dense_module._plan(gates, num_qubits)
-        assert steps == []
+        assert dense_module._static_runs(gates) == [gates]
+        _, tables, _ = dense_module._plan(gates, num_qubits)
         assert len(tables) <= len(high_control_masks(gates))
         assert_gathers_like_the_oracle(num_qubits, gates)
 
@@ -614,16 +632,20 @@ class TestPlannedPullBack:
         tail = [CNOT(0, 16), CNOT(17, 16), CCNOT(0, 17, 16), CNOT(16, 18), CNOT(4, 18)]
         tail.append(CCNOT(16, 4, 18))
         gates = swap + tail
-        _, tables, steps, _ = dense_module._plan(gates, 19)
-        # the tail and the swap's last CNOT are tables; its first two CNOTs read 17 after it
-        assert [high for high, _ in tables] == [1 << 16, 1 << 17]
-        assert steps == [(1 << 17, 1 << 4), (1 << 4, 1 << 17)]
+        runs = dense_module._static_runs(gates)
+        # the swap's first two CNOTs each read a qubit that the next gate writes
+        assert [len(gates_of_run) for gates_of_run in runs] == [1, 1, 7]
+        assert runs[2] == gates[2:]
+        _, tables, _ = dense_module._plan(runs[2], 19)
+        assert sorted(high for high, _ in tables) == [1 << 16, 1 << 17]
         assert_gathers_like_the_oracle(19, gates)
 
     def test_run_that_turns_non_static_at_once(self):
         gates = [CCNOT(2, 16, 17), CNOT(17, 2), CNOT(2, 16), CCNOT(16, 17, 3), X(17)]
-        base, tables, steps, _ = dense_module._plan(gates, 18)
-        assert tables == [] and len(steps) == 4
+        runs = dense_module._static_runs(gates)
+        assert runs == [gates[:1], gates[1:4], gates[4:]]
+        base, tables, _ = dense_module._plan(runs[-1], 18)
+        assert tables == []
         assert np.array_equal(base, np.arange(1 << 16) ^ 1 << 17)
         assert_gathers_like_the_oracle(18, gates)
 
@@ -658,14 +680,17 @@ class TestPlannedPullBack:
             ]
             assert runs
             for gates in runs:
-                assert dense_module._plan(gates, circuit.num_qubits)[2] == []
+                assert len(dense_module._static_runs(gates)) == 1
         assert circuit.num_qubits == 25
 
     def test_tables_are_bounded_by_the_high_control_masks(self):
         gates = [CNOT(5, 17), CNOT(17, 5)] * 1000
-        _, tables, steps, _ = dense_module._plan(gates, 18)
-        assert len(tables) <= len(high_control_masks(gates)) == 1
-        assert len(steps) == len(gates) - 1
+        runs = dense_module._static_runs(gates)
+        assert runs == [[gate] for gate in gates]  # each gate reads the one before's target
+        assert len(high_control_masks(gates)) == 1
+        for gates_of_run in runs[:2]:
+            _, tables, _ = dense_module._plan(gates_of_run, 18)
+            assert len(tables) <= len(high_control_masks(gates_of_run))
         assert_gathers_like_the_oracle(18, gates)
 
     @settings(max_examples=12, deadline=None)
@@ -685,12 +710,13 @@ class TestPlannedPullBack:
         gates += [CNOT(high, rng.choice(free)) for high in highs]
         if len(highs) == 2:
             gates.append(CCNOT(*highs, rng.choice(free)))
-        if swap_head:  # swap a low and a high qubit first: its first two CNOTs are steps
+        if swap_head:  # swap a low and a high qubit first: its first two CNOTs are runs
             low, high = rng.randrange(16), rng.randrange(16, num_qubits)
             gates = [CNOT(low, high), CNOT(high, low), CNOT(low, high)] + gates
-        _, tables, steps, _ = dense_module._plan(gates, num_qubits)
+        runs = dense_module._static_runs(gates)
+        _, tables, _ = dense_module._plan(runs[-1], num_qubits)
         assert len(high_control_masks(gates)) >= len(tables) >= 2 * len(highs) - 1
-        assert (len(steps) >= 2) == swap_head
+        assert (len(runs) >= 3) == swap_head
         assert_gathers_like_the_oracle(num_qubits, gates)
 
 
@@ -705,7 +731,7 @@ class TestReach:
         st.booleans(),
         st.integers(1, 3),
     )
-    # head CNOT(12, 16), CNOT(16, 12) alone: only the step CNOT(12, 16) flips qubit 16
+    # head CNOT(12, 16), CNOT(16, 12) alone: only the first run, CNOT(12, 16), flips qubit 16
     @example(seed=0, num_qubits=17, num_gates=0, swap_head=True, held=1)
     @example(seed=7, num_qubits=20, num_gates=30, swap_head=True, held=2)
     @example(seed=10, num_qubits=17, num_gates=30, swap_head=False, held=1)
@@ -716,8 +742,8 @@ class TestReach:
         gates = dependency_ordered_gates(rng, num_qubits, num_gates)
         if swap_head:
             # a swap of a low and a high qubit, or its first two CNOTs: either way the
-            # first CNOT is applied one by one and may flip the high qubit, which in the
-            # shorter head no table flips
+            # first CNOT is a run of its own and may flip the high qubit, which in the
+            # shorter head no later run flips
             low, high = rng.randrange(16), rng.randrange(16, num_qubits)
             head = [CNOT(low, high), CNOT(high, low), CNOT(low, high)]
             gates = head[: rng.choice([2, 3])] + gates
@@ -731,8 +757,8 @@ class TestReach:
         sources = np.flatnonzero(values.view(np.uint8).reshape(blocks, -1).max(axis=1))
         for cpus in (1, 2):
             with mock.patch.object(dense_module, "_usable_cpus", lambda: cpus):
-                full, full_occupied = _apply_segment(values, gates)
-                sourced, sourced_occupied = _apply_segment(values, gates, sources)
+                full, full_occupied = gather_runs(values, gates)
+                sourced, sourced_occupied = gather_runs(values, gates, sources)
             assert sourced.tobytes() == full.tobytes()
             assert np.array_equal(sourced_occupied, full_occupied)
 
@@ -864,6 +890,25 @@ class TestFreshOutput:
         if errors:
             raise errors[0]
         assert [len(held) for held in addresses] == [threads] * rounds
+
+    def test_a_run_of_several_static_runs_holds_at_most_two_states(self):
+        # the swap's first two CNOTs each make a run of their own, so three
+        # gathers run one after the other; each input is dropped once its
+        # output is gathered, the initial state included
+        gates = [CNOT(4, 17), CNOT(17, 4), CNOT(4, 17), X(19), CNOT(19, 3)]
+        assert len(dense_module._static_runs(gates)) == 3
+        circuit = Circuit(20, 1).extend(gates).append(Measure(3, 0))
+        initial = 1 << 4 | 1 << 18
+        expected = run(circuit, initial, "fast")
+        state = 8 << 20  # one complex64 state of 20 qubits: 8 MiB
+        tracemalloc.start()
+        try:
+            result = run(circuit, initial, "statevector")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert results_agree(expected, result)
+        assert peak < 3 * state
 
     def test_back_to_back_runs_grow_by_less_than_one_state(self):
         code = textwrap.dedent(
