@@ -25,9 +25,9 @@ A :class:`LogicBase` is index-backed: it holds the pair index
 the expanded logic base, so :func:`build_elb` stores only a ``range``.
 :func:`reduce_to_rlb` evaluates the constraints on bit-planes
 (:mod:`qrbs.planes`) over the pair index: each constraint is one integer
-per chunk of ``2^16`` pairs, their AND is the mask of pairs kept, and
-:func:`qrbs.planes.set_bits` decodes the mask a byte at a time into the
-kept indices, chunk offset included. :func:`diagnose` is a dict lookup
+per batch of :func:`qrbs.planes.sweep`, their AND is the mask of pairs
+kept, and :func:`qrbs.planes.set_bits` decodes it a byte at a time into
+the kept indices, batch offset included. :func:`diagnose` is a dict lookup
 into the base's diagnosis indices grouped by symptom, built once per
 base; each disease's verdict is read from a four-entry table by its bit
 in the group's AND and OR. ``Complex`` objects are built only for what
@@ -383,11 +383,9 @@ def reduce_to_rlb(
     # bit b of a pair index d << ns | s is names[b]: the first attribute is the top bit
     names = symptom_names[::-1] + diagnosis_names[::-1]
     satisfying = []
-    for chunk in planes.chunks(len(names)):
-        ones, inputs = planes.input_planes(len(names), chunk)
-        values = dict(zip(names, inputs))
+    for ones, values, offset in planes.sweep(names):
         mask = reduce(and_, (planes.evaluate(c.expr, values, ones) for c in constraints), ones)
-        satisfying += planes.set_bits(mask, chunk << planes.CHUNK_BITS)
+        satisfying += planes.set_bits(mask, offset)
     if elb.indices == range(1 << len(names)):  # in build_elb order, as satisfying is
         kept = tuple(satisfying)
     else:

@@ -164,6 +164,8 @@ def _cmd_rlb(args: argparse.Namespace) -> int:
     if requested > MAX_TOTAL_ATTRIBUTES:
         raise ValueError(f"{requested} attributes exceeds the cap of {MAX_TOTAL_ATTRIBUTES}")
     symptoms, diagnoses, rules = constraint_set.resolve(args.symptoms, args.diagnoses)
+    if args.case is not None and len(args.case) != len(symptoms):
+        raise QrbsError(f"case has {len(args.case)} bits but there are {len(symptoms)} symptoms")
     elb = build_elb(len(symptoms), len(diagnoses))
     rlb = reduce_to_rlb(elb, rules, symptoms, diagnoses)
 
@@ -177,10 +179,6 @@ def _cmd_rlb(args: argparse.Namespace) -> int:
         for label in rlb.labels():
             print(label)
     if args.case is not None:
-        if len(args.case) != len(symptoms):
-            raise QrbsError(
-                f"case has {len(args.case)} bits but there are {len(symptoms)} symptoms"
-            )
         observed = index_to_complex(int(args.case, 2), len(symptoms))
         verdict = diagnose(observed, rlb)
         payload["case"] = {

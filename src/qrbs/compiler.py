@@ -14,11 +14,10 @@ flat in the AST, so how a chain was parenthesised does not matter.
 
 :func:`verify_compilation` checks a compiled circuit against the rules,
 on every input assignment or on a chosen list of them. Both run on the
-bit-plane kernel of :mod:`qrbs.planes`, which holds ``2^16`` assignments
-per plane: the exhaustive check takes them from
-:func:`~qrbs.planes.input_planes`, a chosen list is packed into planes by
-:func:`~qrbs.planes.pack`, and from there one loop runs the rules and the
-gate list once per batch, one integer operation per connective or gate.
+bit-plane kernel of :mod:`qrbs.planes`: :func:`~qrbs.planes.sweep` yields
+the input planes of every assignment, or of the chosen list, a batch at a
+time, and one loop runs the rules and the gate list once per batch, one
+integer operation per connective or gate.
 Mismatches are counted first and only the assignments whose bits differ
 are decoded, up to ``MAX_MISMATCHES`` of them, chosen list or not.
 """
@@ -316,19 +315,19 @@ def verify_compilation(
             raise CompileError(
                 f"exhaustive verification capped at {max_inputs} inputs, got {len(facts)}"
             )
-        batches = (planes.input_planes(len(facts), chunk) for chunk in planes.chunks(len(facts)))
+        rows = None
     else:
-        batches = planes.pack(_input_bits(network, assignment) for assignment in assignments)
+        rows = (_input_bits(network, assignment) for assignment in assignments)
 
     wrong_batches = []  # (ones, input, expected and wrong planes) of the batches with a mismatch
     checked = count = 0
-    for ones, inputs in batches:
+    for ones, inputs, _ in planes.sweep(facts, rows):
         checked += ones.bit_length()
-        values = dict(zip(facts, inputs))
+        values = dict(inputs)
         for rule in network.ordered_rules:
             values[rule.consequent] = planes.evaluate(rule.antecedent, values, ones)
         qubits = [0] * compiled.circuit.num_qubits
-        for fact, plane in zip(facts, inputs):
+        for fact, plane in inputs.items():
             qubits[compiled.input_map[fact]] = plane
         measured = planes.run(compiled.circuit, qubits, ones)
         expected = {fact: values[fact] for fact in compiled.output_map}
@@ -345,12 +344,12 @@ def verify_compilation(
             f"{count} mismatches over {checked} assignments, "
             f"more than the {MAX_MISMATCHES} a report lists"
         )
-    by_name = sorted((fact, i) for i, fact in enumerate(facts))  # a Mismatch lists facts sorted
     mismatches: list[Mismatch] = []
     for ones, inputs, expected, wrong in wrong_batches:
         # bit j of an input plane is bit j % 8 of its byte j // 8: no big-int shift per input
         size = (ones.bit_length() + 7) >> 3
-        given = [(fact, inputs[i].to_bytes(size, "little")) for fact, i in by_name]
+        # a Mismatch lists facts sorted
+        given = [(fact, inputs[fact].to_bytes(size, "little")) for fact in sorted(inputs)]
         for j in planes.set_bits(reduce(or_, wrong.values())):
             assignment = tuple((fact, data[j >> 3] >> (j & 7) & 1) for fact, data in given)
             for fact, plane in wrong.items():

@@ -1,15 +1,15 @@
 """Bit-sliced evaluation of rules and circuits over many assignments at once.
 
 A *plane* is a Python ``int`` whose bit ``j`` is a fact's (or a qubit's)
-value under assignment ``j`` of a chunk; every connective and every gate
-then acts on all assignments of the chunk with one integer operation
-(bit-slicing, after Biham's DES implementation, FSE 1997). A chunk
-covers ``2^CHUNK_BITS`` assignments: word ``chunk << CHUNK_BITS | j``
-for bit ``j``. Inputs below ``CHUNK_BITS`` get fixed stripe patterns and
-inputs above it are all zeros or all ones within a chunk, so memory
-stays flat at any input count. :func:`pack` builds the same planes from
-chosen rows instead, ``2^CHUNK_BITS`` rows at a time. :func:`run` checks
-no gate: a :class:`~qrbs.circuit.Circuit` admits only gates in range.
+value under assignment ``j`` of a batch; every connective and every gate
+then acts on all assignments of the batch with one integer operation
+(bit-slicing, after Biham's DES implementation, FSE 1997). :func:`sweep`
+is the one source of batches, ``2^CHUNK_BITS`` assignments each: every
+assignment of some names in turn, or chosen rows. Over every assignment,
+the first ``CHUNK_BITS`` names get fixed stripe patterns and the rest are
+all zeros or all ones within a batch, so memory stays flat at any input
+count. :func:`run` checks no gate: a :class:`~qrbs.circuit.Circuit`
+admits only gates in range.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ from .rules import And, Atom, BoolExpr, Implies, Not, Or
 CHUNK_BITS = 16
 
 
-def chunks(num_inputs: int) -> range:
-    """Chunk numbers covering all ``2^num_inputs`` assignments."""
-    return range(1 << max(num_inputs - CHUNK_BITS, 0))
-
-
 @lru_cache(maxsize=None)
 def _stripe(bit: int, width: int) -> int:
     """Bit ``bit`` of ``j``, for every ``j`` below ``2^width``."""
@@ -42,36 +37,40 @@ def _stripe(bit: int, width: int) -> int:
     return plane
 
 
-def input_planes(num_inputs: int, chunk: int) -> tuple[int, list[int]]:
-    """The all-ones plane and one plane per input (input ``i`` is bit ``i`` of the word)."""
-    width = min(num_inputs, CHUNK_BITS)
-    ones = (1 << (1 << width)) - 1
-    planes = [_stripe(i, width) for i in range(width)]
-    planes += [ones if chunk >> i & 1 else 0 for i in range(num_inputs - width)]
-    return ones, planes
-
-
 # a column's 0/1 values as bytes -> the ASCII digits int(..., 2) reads
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def pack(rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, list[int]]]:
-    """Rows of 0/1 bits, ``2^CHUNK_BITS`` at a time, as planes: row ``j`` is bit ``j``.
+def sweep(
+    names: Sequence[str], rows: Iterable[Sequence[int]] | None = None
+) -> Iterator[tuple[int, dict[str, int], int]]:
+    """Assignments to ``names`` as planes, ``2^CHUNK_BITS`` assignments per batch.
 
-    Yields, per batch, the all-ones plane over the batch's rows and one
-    plane per column. Every row must have the same length: a shorter or
-    longer row, in its batch or in a later one, raises :class:`ValueError`.
+    Yields, per batch, the all-ones plane over the batch, each name's
+    plane, and the batch's ``offset``. With ``rows`` omitted, every
+    assignment is swept: bit ``j`` of a batch is the word ``offset + j``,
+    and bit ``i`` of that word is ``names[i]``. Given ``rows`` of 0/1
+    bits in ``names`` order, bit ``j`` of a batch is row ``offset + j``;
+    a row of another length, in any batch, raises :class:`ValueError`.
     """
-    rows, width = iter(rows), None
+    if rows is None:
+        width = min(len(names), CHUNK_BITS)
+        ones = (1 << (1 << width)) - 1
+        low = [_stripe(i, width) for i in range(width)]
+        for chunk in range(1 << len(names) - width):
+            high = [ones if chunk >> i & 1 else 0 for i in range(len(names) - width)]
+            yield ones, dict(zip(names, low + high)), chunk << CHUNK_BITS
+        return
+    rows, offset = iter(rows), 0
     while batch := list(islice(rows, 1 << CHUNK_BITS)):
         columns = [
             int(bytes(column[::-1]).translate(_DIGITS), 2)
             for column in zip(*batch, strict=True)
         ]
-        if width not in (None, len(columns)):
-            raise ValueError(f"rows of {len(columns)} bits after rows of {width} bits")
-        width = len(columns)
-        yield (1 << len(batch)) - 1, columns
+        if len(columns) != len(names):
+            raise ValueError(f"rows of {len(columns)} bits for {len(names)} names")
+        yield (1 << len(batch)) - 1, dict(zip(names, columns)), offset
+        offset += len(batch)
 
 
 def evaluate(expr: BoolExpr, planes: Mapping[str, int], ones: int) -> int:

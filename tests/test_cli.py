@@ -156,11 +156,12 @@ class TestRlb:
         assert "not declared" in err
 
     def test_case_width_mismatch(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "rlb", "--symptoms", "2", "--diagnoses", "1", "--case", "110"
         )
         assert code == 1
         assert "2 symptoms" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "counts, total", [(("2000000", "1"), 2000001), (("-5", "2000000"), 2000000)]

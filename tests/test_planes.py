@@ -78,35 +78,52 @@ def _with_x_first(compiled, fact: str) -> CompiledCircuit:
     return CompiledCircuit(broken, compiled.input_map, compiled.output_map, 0)
 
 
+class TestSweep:
+    def test_layout_of_every_assignment_and_of_rows(self, monkeypatch):
+        monkeypatch.setattr(planes, "CHUNK_BITS", 2)
+        names = ("a", "b", "c", "d", "e")
+        batches = list(planes.sweep(names))
+        assert [offset for _, _, offset in batches] == [k << 2 for k in range(8)]
+        for ones, values, offset in batches:
+            assert ones == 0b1111
+            for i, name in enumerate(names):
+                for j in range(4):
+                    assert values[name] >> j & 1 == (offset + j) >> i & 1
+        rows = [(1, 0, 1, 1, 0)] * 10
+        assert [offset for _, _, offset in planes.sweep(names, rows)] == [0, 4, 8]
+
+
 class TestPack:
     def test_row_j_is_bit_j_in_batches(self, monkeypatch):
         monkeypatch.setattr(planes, "CHUNK_BITS", 2)
         rows = [(1, 0, 1), (0, 0, 1), (1, 1, 1), (0, 1, 1), (1, 0, 1), (0, 1, 1)]
-        assert list(planes.pack(iter(rows))) == [
-            (0b1111, [0b0101, 0b1100, 0b1111]),
-            (0b11, [0b01, 0b10, 0b11]),
+        assert list(planes.sweep("abc", iter(rows))) == [
+            (0b1111, {"a": 0b0101, "b": 0b1100, "c": 0b1111}, 0),
+            (0b11, {"a": 0b01, "b": 0b10, "c": 0b11}, 4),
         ]
 
     def test_empty_rows_and_no_rows(self):
-        assert list(planes.pack([(), ()])) == [(0b11, [])]
-        assert list(planes.pack([])) == []
+        assert list(planes.sweep((), [(), ()])) == [(0b11, {}, 0)]
+        assert list(planes.sweep((), [])) == []
 
     @pytest.mark.parametrize(
-        "rows", [[(1, 0, 1), (1,)], [(1,), (1, 0, 1)], [(1, 0), (0, 1), (1, 1, 0)]]
+        "rows",
+        [[(1, 0, 1), (1,)], [(1,), (1, 0, 1)], [(1, 0), (0, 1), (1, 1, 0)], [(1, 0), (0, 1)]],
     )
     def test_a_ragged_row_is_refused(self, rows):
         with pytest.raises(ValueError):
-            list(planes.pack(rows))
+            list(planes.sweep("abc", rows))
 
     @pytest.mark.parametrize("last", [(1,), (1, 0, 1), ()])
     def test_a_ragged_batch_is_refused(self, monkeypatch, last):
         monkeypatch.setattr(planes, "CHUNK_BITS", 2)
-        with pytest.raises(ValueError, match="after rows of 2 bits"):
-            list(planes.pack([(1, 0)] * 4 + [last]))
+        with pytest.raises(ValueError, match="for 2 names"):
+            list(planes.sweep("ab", [(1, 0)] * 4 + [last]))
 
     def test_a_full_batch_matches_the_exhaustive_planes(self):
+        names = [f"i{k}" for k in range(18)]
         rows = [tuple(word >> i & 1 for i in range(18)) for word in range(1 << 16)]
-        assert list(planes.pack(rows)) == [planes.input_planes(18, 0)]
+        assert list(planes.sweep(names, rows)) == [next(planes.sweep(names))]
 
 
 class TestVerification:
@@ -254,8 +271,8 @@ class TestRun:
         circuit = Circuit(n, n)
         circuit.extend(random_circuit(random.Random(seed), n, gates, with_measures=False).gates)
         circuit.extend(Measure(q, q) for q in range(n))
-        ones, inputs = planes.input_planes(n, 0)
-        measured = planes.run(circuit, inputs, ones)
+        ones, values, _ = next(planes.sweep([f"q{q}" for q in range(n)]))
+        measured = planes.run(circuit, list(values.values()), ones)
         for word in range(1 << n):
             result = run(circuit, word, engine="fast")
             assert tuple(plane >> word & 1 for plane in measured) == result.bits

@@ -464,7 +464,7 @@ class TestFusedSegmentKernel:
             raise AssertionError("the dense engine used another oracle")
 
         monkeypatch.setattr(simulator, "_run_basis", refuse)
-        for name in ("chunks", "input_planes", "evaluate", "run", "set_bits"):
+        for name in ("sweep", "evaluate", "run", "set_bits"):
             monkeypatch.setattr(planes, name, refuse)
         dense = run(circuit, initial, "statevector")
         assert dense.bits == fast.bits
