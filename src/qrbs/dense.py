@@ -16,16 +16,20 @@ run. Compiled circuits emit gates in dependency order, so each of their
 circuits is a single run. For each block of 2^16 output indices the
 kernel pulls the indices back through the run, then gathers the
 amplitudes with ``np.take`` into the output array. The pull-back is
-planned once per run, before the blocks: the gates are folded into a few
-precomputed tables, one per mask of controls above the block bits, and a
-block's start selects the tables whose mask it satisfies. Blocks whose
-starts select the same tables form a group; each thread XORs a group's
-tables into one combined table, and a block's indices are that table XOR
-its start, one XOR per block.
+planned before the blocks: the gates are folded into a few precomputed
+tables, one per mask of controls above the block bits, and a block's start
+selects the tables whose mask it satisfies. Blocks whose starts select the
+same tables form a group; each thread XORs a group's tables into one
+combined table, and a block's indices are that table XOR its start, one
+XOR per block. The plan depends only on the run's gate masks and the
+width, so a run is planned once and its plan reused while it stays in a
+small cache of the most recently used plans (:func:`_cached_plan`). The
+cache holds read-only index maps only, never amplitudes: every call
+gathers its own state.
 The indices are ``np.intp``, which ``np.take`` uses without converting.
 Every index is an XOR of offsets, block start and gate masks, so it is in
-range once every gate's qubits are: the kernel checks that once per run,
-while it plans, because :func:`apply_gate` takes a gate no
+range once every gate's qubits are: the kernel checks that on every call,
+before it looks up the plan, because :func:`apply_gate` takes a gate no
 :class:`Circuit` admitted, and the take then runs in ``mode="wrap"``,
 which writes straight into its ``out`` array (the default ``mode="raise"``
 gathers into a buffer and copies it).
@@ -35,14 +39,15 @@ caller names the input blocks that may hold a nonzero byte: :func:`run`
 names the block of its basis state for its first run, and for each later
 run the blocks that the run before it flagged occupied; :func:`apply_gate`
 names every block (and then nothing is skipped, and no reach is
-computed). Output block ``k`` reads input block ``k ^ h`` for each value
+tested). Output block ``k`` reads input block ``k ^ h`` for each value
 ``h`` that its group's combined table takes above the block bits. Those
 bits depend only on the low controls of the gates that target a qubit
-above the block bits, so the plan lists the few offsets that vary only
-those controls, and a group's values cost one small take from each of its
-tables. An output block that can read no named block pulls back only
-zeros and is never gathered: a 25-qubit staging run gathers 66 of its 512
-blocks.
+above the block bits, so the plan reads each group's values at the few
+offsets that vary only those controls and keeps the distinct ``h``; a
+call then tests each member of a group against the named blocks with one
+vectorised lookup. An output block that can read no named block pulls
+back only zeros and is never gathered: a 25-qubit staging run gathers 66
+of its 512 blocks.
 
 The kernel writes only the blocks that hold amplitude. Its output comes
 from ``np.zeros``, which numpy allocates with ``calloc``, so the pages of
@@ -67,12 +72,14 @@ keeps its own dtype through :func:`apply_gate`.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +96,11 @@ DEFAULT_MAX_QUBITS = 26
 # Output indices per block of the fused gather: 2^16 indices (512 KiB as
 # 64-bit np.intp) stay in cache while a run's tables are XORed into them.
 _BLOCK_BITS = 16
+
+# Plans kept between calls, keyed by a run's gate masks and width: each holds
+# index maps only (a 25-qubit staging run's plan is about 3 MiB), and at
+# most this many are kept, the least recently used going first.
+_PLANS_KEPT = 8
 
 
 def _bit(qubit: int) -> int:
@@ -145,26 +157,48 @@ def _static_runs(gates: Sequence[Gate]) -> list[list[Gate]]:
     return [cut[::-1] for cut in reversed(runs)]
 
 
-def _plan(
-    gates: Sequence[Gate], num_qubits: int
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], np.ndarray]:
+def _run_masks(gates: Sequence[Gate], num_qubits: int) -> tuple[tuple[int, int], ...]:
+    """Each gate's ``(control_mask, target_mask)``, checked against ``num_qubits`` qubits.
+
+    A gate that is not unitary, has a non-integer qubit index or names a
+    qubit at or above ``num_qubits`` raises :class:`SimulationError`. The
+    masks, not the gates, key the plan cache: ``X(True)`` and ``X(1.0)``
+    equal ``X(1)`` as dataclasses, and are refused here on every call.
+    """
+    masks = tuple(map(_gate_masks, gates))
+    for gate, (control_mask, target_mask) in zip(gates, masks):
+        if (control_mask | target_mask) >> num_qubits:
+            raise SimulationError(f"gate {gate!r} out of range for {num_qubits} qubits")
+    return masks
+
+
+class _Plan(NamedTuple):
+    """The index maps of a static run's gather; every array is read-only."""
+
+    base: np.ndarray  # the block offsets XOR the table of the gates with no high control
+    tables: tuple[tuple[int, np.ndarray], ...]  # (high-control mask, table)
+    selector: int  # the bits of a block's start that choose its tables
+    # (selected bits, member blocks, reach): output block k of a group reads
+    # input block k ^ h for each h in its reach
+    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+def _plan(masks: Sequence[tuple[int, int]], num_qubits: int) -> _Plan:
     """Plan the pull-back of a static run of gates on ``num_qubits`` qubits, block by block.
 
-    A block is ``2^min(16, num_qubits)`` output indices; a gate that names
-    a qubit at or above ``num_qubits`` raises :class:`SimulationError`. In
-    a static run (:func:`_static_runs`) each gate's flip depends only on
-    the output index, as ``(low controls set) << target`` within a block
-    times ``start & high == high`` for the block. Gates with the same
+    ``masks`` are the run's gates as :func:`_run_masks` checks them. A
+    block is ``2^min(16, num_qubits)`` output indices. In a static run
+    (:func:`_static_runs`) each gate's flip depends only on the output
+    index, as ``(low controls set) << target`` within a block times
+    ``start & high == high`` for the block. Gates with the same
     high-control mask share one table, the XOR of their low-bit flips;
     each flip is XORed in place into the sub-cube of offsets whose low
-    controls are set. Returns ``(base, tables, probe)``: ``base`` is the
-    block offsets XOR the table of the gates with no high control,
-    ``tables`` pairs each other high-control mask with its table, and
-    ``probe`` holds the offsets whose bits are all among the low controls
-    of the gates with a target above the block bits: every table's bits
-    above the block bits depend on those controls alone, so the table's
-    entries at ``probe`` take every value above the block bits that it
-    takes at all.
+    controls are set. The blocks are grouped by the tables their starts
+    select, and each group's reach is read from its tables at the probe
+    offsets: those whose bits are all among the low controls of the gates
+    with a target above the block bits. Every table's bits above the block
+    bits depend on those controls alone, so the entries at the probe take
+    every value above the block bits that the table takes at all.
     """
     block_bits = min(_BLOCK_BITS, num_qubits)
     cube = (2,) * block_bits  # one axis per bit of a block offset, highest bit first
@@ -172,10 +206,7 @@ def _plan(
     low = (1 << block_bits) - 1
     tables: dict[int, np.ndarray] = {0: offsets.copy()}
     varied = 0  # low controls of the gates with a target above the block bits
-    for gate in gates:
-        control_mask, target_mask = _gate_masks(gate)
-        if (control_mask | target_mask) >> num_qubits:
-            raise SimulationError(f"gate {gate!r} out of range for {num_qubits} qubits")
+    for control_mask, target_mask in masks:
         low_controls = control_mask & low
         high = control_mask & ~low
         if target_mask > low:
@@ -184,9 +215,33 @@ def _plan(
         if table is None:
             table = tables[high] = np.zeros_like(offsets)
         table.reshape(cube)[_subcube(low_controls, 1, block_bits)] ^= target_mask
-    base = tables.pop(0)
+    base = _read_only(tables.pop(0))
     probe = offsets.reshape(cube)[_subcube(low & ~varied, 0, block_bits)].ravel()
-    return base, list(tables.items()), probe
+    selector = 0
+    for high, table in tables.items():
+        selector |= high
+        _read_only(table)
+    selected = np.arange(1 << num_qubits - block_bits, dtype=np.intp) << block_bits & selector
+    groups = []
+    for group in np.unique(selected).tolist():
+        values = base[probe]
+        for high, table in tables.items():
+            if group & high == high:
+                values ^= table[probe]
+        members = _read_only(np.flatnonzero(selected == group))
+        groups.append((group, members, _read_only(np.unique(values >> block_bits))))
+    return _Plan(base, tuple(tables.items()), selector, tuple(groups))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=_PLANS_KEPT)
+def _cached_plan(masks: tuple[tuple[int, int], ...], num_qubits: int) -> _Plan:
+    """:func:`_plan`, kept for the :data:`_PLANS_KEPT` most recently used runs."""
+    return _plan(masks, num_qubits)
 
 
 def _apply_segment(
@@ -204,48 +259,31 @@ def _apply_segment(
     last to first, and each thread reuses preallocated buffers. Only the
     output blocks whose pulled-back indices can fall in a source block are
     gathered; every other block pulls back only zeros and stays as
-    ``np.zeros`` left it. :func:`_plan` raises :class:`SimulationError`
+    ``np.zeros`` left it. :func:`_run_masks` raises :class:`SimulationError`
     before any gather if a gate names a qubit outside the state: only then
     is every index below ``amps.size``, which the unbuffered ``mode="wrap"``
     take relies on.
     """
-    base, tables, probe = _plan(gates, amps.size.bit_length() - 1)
+    num_qubits = amps.size.bit_length() - 1
+    base, tables, selector, groups = _cached_plan(_run_masks(gates, num_qubits), num_qubits)
     block = base.size
     blocks = amps.size // block
     out = np.zeros(amps.shape, amps.dtype)  # not zeros_like, which writes every page
     occupied = np.zeros(blocks, dtype=bool)
     errors: list[BaseException] = []
 
-    selector = 0  # the bits of a block's start that choose its tables
-    for high, _ in tables:
-        selector |= high
-
     def selected_by(k: int) -> int:
         return k * block & selector
 
-    held = None if sources is None else np.unique(np.asarray(sources, np.intp))
-
-    def reached(group: int, members: Iterable[int]) -> list[int]:
-        """The members of ``group`` whose pulled-back indices can fall in a ``held`` block.
-
-        Output block ``k`` reads input block ``k ^ h`` for each value ``h``
-        that the group's combined table takes above the block bits, and
-        all of them occur at ``probe``.
-        """
-        values = base[probe]
-        for high, table in tables:
-            if group & high == high:
-                values ^= table[probe]
-        hit = np.zeros(blocks, dtype=bool)
-        hit[values // block] = True
-        members = np.fromiter(members, np.intp)
-        return members[hit[members[:, None] ^ held].any(axis=1)].tolist()
-
-    work: list[int] = []  # the blocks to gather, grouped by the tables their starts select
-    for group, members in groupby(sorted(range(blocks), key=selected_by), key=selected_by):
-        if held is not None and held.size < blocks:  # else no block is out of reach
-            members = reached(group, members)
-        work += members
+    held = None
+    if sources is not None:
+        held = np.zeros(blocks, dtype=bool)
+        held[np.asarray(sources, np.intp)] = True
+    if held is None or held.all():  # no block is out of reach
+        work = [members for _, members, _ in groups]
+    else:
+        work = [members[held[members[:, None] ^ reach].any(axis=1)] for _, members, reach in groups]
+    work = np.concatenate(work).tolist()  # the blocks to gather, grouped as the plan groups them
 
     def gather(span: Sequence[int]) -> None:
         try:

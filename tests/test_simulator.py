@@ -26,7 +26,13 @@ from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, gate_qubits
 from qrbs.compiler import CompileOptions
 from qrbs.dense import StateVector, _apply_segment, _occupied_index, apply_gate, init_state
 from qrbs.errors import SimulationError
-from qrbs.idc import INPUT_COMPLEXES, build_idc_circuit, run_activation
+from qrbs.idc import (
+    INPUT_COMPLEXES,
+    build_idc_circuit,
+    run_activation,
+    stage,
+    verify_reference_table,
+)
 from qrbs.simulator import RunResult, run
 
 
@@ -115,6 +121,18 @@ class TestApplyGate:
         state = init_state(1)
         apply_gate(state, X(0))
         assert state.amplitudes[0] == 1
+
+    @pytest.mark.parametrize(
+        "gate", [X(True), X(1.0), X(3), {}], ids=["bool", "float", "beyond", "non-gate"]
+    )
+    def test_a_cached_plan_refuses_what_apply_gate_refuses(self, gate):
+        # X(True) and X(1.0) equal X(1) as dataclasses, so a plan cache keyed
+        # on gates would hand them X(1)'s plan
+        dense_module._cached_plan.cache_clear()
+        assert np.flatnonzero(apply_gate(init_state(3), X(1)).amplitudes).tolist() == [2]
+        assert dense_module._cached_plan.cache_info().currsize == 1
+        with pytest.raises(SimulationError):
+            apply_gate(init_state(3), gate)
 
 
 class TestBasisIndex:
@@ -604,6 +622,11 @@ def gather_runs(values: np.ndarray, gates, sources=None) -> tuple:
     return values, occupied
 
 
+def planned(gates, num_qubits: int):
+    """The plan of a static run of ``gates``, built afresh rather than read from the cache."""
+    return dense_module._plan(dense_module._run_masks(gates, num_qubits), num_qubits)
+
+
 def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
     values = np.random.default_rng(num_qubits).standard_normal((2, 1 << num_qubits))
     values = (values[0] + 1j * values[1]).astype(np.complex64)
@@ -623,7 +646,7 @@ class TestPlannedPullBack:
     def test_dependency_ordered_runs_are_all_tables(self, seed, num_qubits, num_gates):
         gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
         assert dense_module._static_runs(gates) == [gates]
-        _, tables, _ = dense_module._plan(gates, num_qubits)
+        tables = planned(gates, num_qubits).tables
         assert len(tables) <= len(high_control_masks(gates))
         assert_gathers_like_the_oracle(num_qubits, gates)
 
@@ -636,7 +659,7 @@ class TestPlannedPullBack:
         # the swap's first two CNOTs each read a qubit that the next gate writes
         assert [len(gates_of_run) for gates_of_run in runs] == [1, 1, 7]
         assert runs[2] == gates[2:]
-        _, tables, _ = dense_module._plan(runs[2], 19)
+        tables = planned(runs[2], 19).tables
         assert sorted(high for high, _ in tables) == [1 << 16, 1 << 17]
         assert_gathers_like_the_oracle(19, gates)
 
@@ -644,9 +667,9 @@ class TestPlannedPullBack:
         gates = [CCNOT(2, 16, 17), CNOT(17, 2), CNOT(2, 16), CCNOT(16, 17, 3), X(17)]
         runs = dense_module._static_runs(gates)
         assert runs == [gates[:1], gates[1:4], gates[4:]]
-        base, tables, _ = dense_module._plan(runs[-1], 18)
-        assert tables == []
-        assert np.array_equal(base, np.arange(1 << 16) ^ 1 << 17)
+        plan = planned(runs[-1], 18)
+        assert plan.tables == ()
+        assert np.array_equal(plan.base, np.arange(1 << 16) ^ 1 << 17)
         assert_gathers_like_the_oracle(18, gates)
 
     @pytest.mark.parametrize(
@@ -689,7 +712,7 @@ class TestPlannedPullBack:
         assert runs == [[gate] for gate in gates]  # each gate reads the one before's target
         assert len(high_control_masks(gates)) == 1
         for gates_of_run in runs[:2]:
-            _, tables, _ = dense_module._plan(gates_of_run, 18)
+            tables = planned(gates_of_run, 18).tables
             assert len(tables) <= len(high_control_masks(gates_of_run))
         assert_gathers_like_the_oracle(18, gates)
 
@@ -714,7 +737,7 @@ class TestPlannedPullBack:
             low, high = rng.randrange(16), rng.randrange(16, num_qubits)
             gates = [CNOT(low, high), CNOT(high, low), CNOT(low, high)] + gates
         runs = dense_module._static_runs(gates)
-        _, tables, _ = dense_module._plan(runs[-1], num_qubits)
+        tables = planned(runs[-1], num_qubits).tables
         assert len(high_control_masks(gates)) >= len(tables) >= 2 * len(highs) - 1
         assert (len(runs) >= 3) == swap_head
         assert_gathers_like_the_oracle(num_qubits, gates)
@@ -781,6 +804,95 @@ class TestReach:
             assert 0 < len(takes) < blocks // 4
             fast_stages, fast = run_activation(one_hot, "fast", compiled)
             assert stages == fast_stages and result.bits == fast.bits
+
+
+class TestPlanCache:
+    """A static run is planned once and its plan reused while the cache keeps it."""
+
+    @pytest.fixture(scope="class")
+    def width25(self):
+        return build_idc_circuit(CompileOptions(share_subexpressions=False, ancilla_budget=10))
+
+    def test_cached_arrays_are_read_only(self):
+        gates = dependency_ordered_gates(random.Random(23), 19, 30)
+        masks = dense_module._run_masks(gates, 19)
+        plan = dense_module._cached_plan(masks, 19)
+        assert plan.tables and len(plan.groups) > 1
+        arrays = [plan.base, *(table for _, table in plan.tables)]
+        arrays += [array for _, members, reach in plan.groups for array in (members, reach)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                np.bitwise_xor(array, 1, out=array)
+        assert dense_module._cached_plan(masks, 19) is plan
+
+    def test_a_run_after_a_failed_gather_is_exact(self, monkeypatch):
+        circuit = build_idc_circuit().circuit
+        initial = 1 << 3  # the input qubits are 0 to 14
+        fast = run(circuit, initial, "fast")
+        assert run(circuit, initial, "statevector").bits == fast.bits  # the plan is cached
+        take = np.take
+        takes = []
+
+        def failing(*args, **kwargs):
+            takes.append(1)
+            if len(takes) > 5:
+                raise MemoryError("gather failed")
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", failing)
+        with pytest.raises(MemoryError, match="gather failed"):
+            run(circuit, initial, "statevector")
+        monkeypatch.setattr(np, "take", take)
+        hits = dense_module._cached_plan.cache_info().hits
+        dense = run(circuit, initial, "statevector")
+        assert dense_module._cached_plan.cache_info().hits == hits + 1
+        assert results_agree(fast, dense)
+
+    def test_the_reference_table_plans_once(self, monkeypatch, width25):
+        built = []
+        plan = dense_module._plan
+
+        def counted(*args):
+            built.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(dense_module, "_plan", counted)
+        dense_module._cached_plan.cache_clear()
+        rows = verify_reference_table("statevector", width25)
+        assert len(rows) == 15 and all(row.ok for row in rows)
+        assert len(built) == 1
+        assert built[0][1] == width25.circuit.num_qubits == 25
+
+    def test_four_threads_share_the_cache(self, width25):
+        dense_module._cached_plan.cache_clear()
+        threads = 4
+        barrier = threading.Barrier(threads, timeout=60)
+        errors: list[BaseException] = []
+
+        def worker(k: int) -> None:
+            try:
+                barrier.wait()
+                for tnm in INPUT_COMPLEXES[k::threads]:
+                    dense = stage(tnm, "statevector", width25)
+                    fast = stage(tnm, "fast", width25)
+                    assert dense.result.bits == fast.result.bits
+                    assert dense.stages == fast.stages
+            except BaseException as exc:  # re-raised below
+                errors.append(exc)
+                barrier.abort()
+
+        pool = [threading.Thread(target=worker, args=(k,)) for k in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in pool)
+        if errors:
+            raise errors[0]
+        info = dense_module._cached_plan.cache_info()
+        assert info.currsize == 1 and info.hits + info.misses == len(INPUT_COMPLEXES)
 
 
 def measured_circuit(num_qubits: int) -> Circuit:
