@@ -13,13 +13,13 @@ gate flips the pulled-back index by a function of the output index alone.
 touches a measured qubit, so every measurement reads the final basis
 state. :func:`apply_gate` gathers its one gate, which is always a static
 run. Compiled circuits emit gates in dependency order, so each of their
-circuits is a single run. For each block of 2^16 output indices the
+circuits is a single run. For each block of 2^12 output indices the
 kernel pulls the indices back through the run, then gathers the
 amplitudes with ``np.take`` into the output array. The pull-back is
 planned before the blocks: the gates are folded into a few precomputed
 tables, one per mask of controls above the block bits, and a block's start
 selects the tables whose mask it satisfies. Blocks whose starts select the
-same tables form a group; each thread XORs a group's tables into one
+same tables form a group; the kernel XORs a group's tables into one
 combined table, and a block's indices are that table XOR its start, one
 XOR per block. The plan depends only on the run's gate masks and the
 width, so a run is planned once and its plan reused while it stays in a
@@ -39,30 +39,31 @@ caller names the input blocks that may hold a nonzero byte: :func:`run`
 names the block of its basis state for its first run, and for each later
 run the blocks that the run before it flagged occupied; :func:`apply_gate`
 names every block (and then nothing is skipped, and no reach is
-tested). Output block ``k`` reads input block ``k ^ h`` for each value
+computed). Output block ``k`` reads input block ``k ^ h`` for each value
 ``h`` that its group's combined table takes above the block bits. Those
 bits depend only on the low controls of the gates that target a qubit
 above the block bits, so the plan reads each group's values at the few
-offsets that vary only those controls and keeps the distinct ``h``; a
-call then tests each member of a group against the named blocks with one
-vectorised lookup. An output block that can read no named block pulls
-back only zeros and is never gathered: a 25-qubit staging run gathers 66
-of its 512 blocks.
+offsets that vary only those controls and keeps the distinct ``h``, all
+groups' in one flat array beside the selection of the group each belongs
+to. A call works from the source side in one vectorised step: it XORs
+every named block with every ``h``, keeps each candidate whose start
+selects that ``h``'s group, and takes the distinct survivors. An output
+block that can read no named block pulls back only zeros and is never
+gathered: a 25-qubit staging run gathers 44 of its 8 192 blocks, 180 224
+amplitudes.
 
 The kernel writes only the blocks that hold amplitude. Its output comes
 from ``np.zeros``, which numpy allocates with ``calloc``, so the pages of
-a large state are not backed by memory until they are written. Each thread
-gathers a block into its own one-block scratch buffer, which stays in
-cache, and copies it into the output only if it holds a nonzero byte; the
-same test flags the block as occupied, so :func:`run` finds the measured
-basis state in the occupied blocks alone, with no second pass over the
-state. A run from a basis state occupies one block and writes only that
-one. The blocks are independent, so when two CPUs are usable the blocks to
-gather are split into two spans of equal count, each gathered on its own
-thread (numpy releases the interpreter lock in these loops); halving the
-index range instead would leave one thread most of the reachable blocks.
-Every call returns a new array, so no run writes a state that a caller
-holds.
+a large state are not backed by memory until they are written. The kernel
+gathers each block into a one-block scratch buffer, which stays in cache,
+and copies it into the output only if it holds a nonzero byte; the same
+test flags the block as occupied, so :func:`run` finds the measured basis
+state in the occupied blocks alone, with no second pass over the state. A
+run from a basis state occupies one block and writes only that one. The
+gather runs on the calling thread: at 2^12-index blocks a second thread
+cost more wall and CPU time than it saved, on the staging runs and on
+full states alike. Every call returns a new array, so no run writes a
+state that a caller holds.
 
 :func:`init_state` allocates complex64: a permutation circuit run from a
 basis state only ever holds the amplitudes 0 and 1, which complex64 holds
@@ -75,7 +76,6 @@ from __future__ import annotations
 import functools
 import operator
 import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
@@ -93,12 +93,15 @@ __all__ = ["DEFAULT_MAX_QUBITS", "StateVector", "apply_gate", "init_state", "run
 # explicit override.
 DEFAULT_MAX_QUBITS = 26
 
-# Output indices per block of the fused gather: 2^16 indices (512 KiB as
+# Output indices per block of the fused gather: 2^12 indices (32 KiB as
 # 64-bit np.intp) stay in cache while a run's tables are XORed into them.
-_BLOCK_BITS = 16
+# Small blocks follow a run's reach closely (a 25-qubit staging run from a
+# basis state gathers 44 blocks, 180 224 amplitudes), but each block costs
+# one Python iteration when the whole state is gathered.
+_BLOCK_BITS = 12
 
 # Plans kept between calls, keyed by a run's gate masks and width: each holds
-# index maps only (a 25-qubit staging run's plan is about 3 MiB), and at
+# index maps only (a 25-qubit staging run's plan is about 0.34 MiB), and at
 # most this many are kept, the least recently used going first.
 _PLANS_KEPT = 8
 
@@ -121,12 +124,6 @@ def _gate_masks(gate: Gate) -> tuple[int, int]:
     except TypeError:  # apply_gate takes gates no Circuit checked
         raise SimulationError(f"gate {gate!r} has a non-integer qubit index") from None
     raise SimulationError(f"not a unitary gate: {gate!r}")
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _subcube(mask: int, value: int, block_bits: int) -> tuple:
@@ -178,27 +175,30 @@ class _Plan(NamedTuple):
     base: np.ndarray  # the block offsets XOR the table of the gates with no high control
     tables: tuple[tuple[int, np.ndarray], ...]  # (high-control mask, table)
     selector: int  # the bits of a block's start that choose its tables
-    # (selected bits, member blocks, reach): output block k of a group reads
-    # input block k ^ h for each h in its reach
-    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    # every group's reach, flat: output block k reads input block k ^ reach[j]
+    # for each j whose selection[j] is what k's start selects
+    reach: np.ndarray
+    selection: np.ndarray
 
 
 def _plan(masks: Sequence[tuple[int, int]], num_qubits: int) -> _Plan:
     """Plan the pull-back of a static run of gates on ``num_qubits`` qubits, block by block.
 
     ``masks`` are the run's gates as :func:`_run_masks` checks them. A
-    block is ``2^min(16, num_qubits)`` output indices. In a static run
+    block is ``2^min(12, num_qubits)`` output indices. In a static run
     (:func:`_static_runs`) each gate's flip depends only on the output
     index, as ``(low controls set) << target`` within a block times
     ``start & high == high`` for the block. Gates with the same
     high-control mask share one table, the XOR of their low-bit flips;
     each flip is XORed in place into the sub-cube of offsets whose low
-    controls are set. The blocks are grouped by the tables their starts
-    select, and each group's reach is read from its tables at the probe
+    controls are set. The blocks whose starts select the same tables form
+    a group, and each group's reach is read from its tables at the probe
     offsets: those whose bits are all among the low controls of the gates
     with a target above the block bits. Every table's bits above the block
     bits depend on those controls alone, so the entries at the probe take
-    every value above the block bits that the table takes at all.
+    every value above the block bits that the table takes at all. The
+    reaches of all groups are kept in one flat array, each offset beside
+    its group's selected bits.
     """
     block_bits = min(_BLOCK_BITS, num_qubits)
     cube = (2,) * block_bits  # one axis per bit of a block offset, highest bit first
@@ -222,15 +222,21 @@ def _plan(masks: Sequence[tuple[int, int]], num_qubits: int) -> _Plan:
         selector |= high
         _read_only(table)
     selected = np.arange(1 << num_qubits - block_bits, dtype=np.intp) << block_bits & selector
-    groups = []
+    reach, selection = [], []
     for group in np.unique(selected).tolist():
         values = base[probe]
         for high, table in tables.items():
             if group & high == high:
                 values ^= table[probe]
-        members = _read_only(np.flatnonzero(selected == group))
-        groups.append((group, members, _read_only(np.unique(values >> block_bits))))
-    return _Plan(base, tuple(tables.items()), selector, tuple(groups))
+        reach.append(np.unique(values >> block_bits))
+        selection.append(np.full(reach[-1].size, group, np.intp))
+    return _Plan(
+        base,
+        tuple(tables.items()),
+        selector,
+        _read_only(np.concatenate(reach)),
+        _read_only(np.concatenate(selection)),
+    )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -249,73 +255,51 @@ def _apply_segment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply a static run of unitary gates as one gather, as the module docstring lays out.
 
-    ``sources`` numbers the input blocks of ``2^min(16, n)`` amplitudes that
+    ``sources`` numbers the input blocks of ``2^min(12, n)`` amplitudes that
     may hold a nonzero byte; every other block must hold only zero bytes
     (None: every block may). Returns a new output array and one flag per
     output block, set when the block holds a nonzero byte, for the next
     run's ``sources`` and :func:`_occupied_index`. X, CNOT and CCNOT are
     each their own inverse, so output amplitude ``i`` is input amplitude
     ``g1(g2(...gk(i)))``: the index is pulled back through the gates from
-    last to first, and each thread reuses preallocated buffers. Only the
-    output blocks whose pulled-back indices can fall in a source block are
-    gathered; every other block pulls back only zeros and stays as
-    ``np.zeros`` left it. :func:`_run_masks` raises :class:`SimulationError`
-    before any gather if a gate names a qubit outside the state: only then
-    is every index below ``amps.size``, which the unbuffered ``mode="wrap"``
-    take relies on.
+    last to first into preallocated buffers. Only the output blocks whose
+    pulled-back indices can fall in a source block are gathered; every
+    other block pulls back only zeros and stays as ``np.zeros`` left it.
+    :func:`_run_masks` raises :class:`SimulationError` before any gather if
+    a gate names a qubit outside the state: only then is every index below
+    ``amps.size``, which the unbuffered ``mode="wrap"`` take relies on.
     """
     num_qubits = amps.size.bit_length() - 1
-    base, tables, selector, groups = _cached_plan(_run_masks(gates, num_qubits), num_qubits)
+    base, tables, selector, reach, selection = _cached_plan(
+        _run_masks(gates, num_qubits), num_qubits
+    )
     block = base.size
     blocks = amps.size // block
     out = np.zeros(amps.shape, amps.dtype)  # not zeros_like, which writes every page
     occupied = np.zeros(blocks, dtype=bool)
-    errors: list[BaseException] = []
-
-    def selected_by(k: int) -> int:
-        return k * block & selector
-
-    held = None
-    if sources is not None:
-        held = np.zeros(blocks, dtype=bool)
-        held[np.asarray(sources, np.intp)] = True
-    if held is None or held.all():  # no block is out of reach
-        work = [members for _, members, _ in groups]
+    if sources is None:
+        work = np.arange(blocks)
     else:
-        work = [members[held[members[:, None] ^ reach].any(axis=1)] for _, members, reach in groups]
-    work = np.concatenate(work).tolist()  # the blocks to gather, grouped as the plan groups them
-
-    def gather(span: Sequence[int]) -> None:
-        try:
-            index, combined = np.empty(block, np.intp), np.empty(block, np.intp)
-            scratch = np.empty(block, amps.dtype)
-            for group, members in groupby(span, key=selected_by):
-                source = base
-                for high, table in tables:
-                    if group & high == high:
-                        source = np.bitwise_xor(source, table, out=combined)
-                for k in members:
-                    start = k * block
-                    np.bitwise_xor(source, start, out=index)
-                    np.take(amps, index, out=scratch, mode="wrap")
-                    occupied[k] = scratch.view(np.uint8).max() > 0
-                    if occupied[k]:
-                        out[start : start + block] = scratch
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
-
-    # equal counts of blocks to gather, not halves of the index range
-    threads = max(1, min(2, _usable_cpus(), len(work)))
-    bounds = [len(work) * k // threads for k in range(threads + 1)]
-    spans = [work[first:last] for first, last in zip(bounds, bounds[1:])]
-    helpers = [threading.Thread(target=gather, args=(span,)) for span in spans[1:]]
-    for helper in helpers:
-        helper.start()
-    gather(spans[0])
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+        # source block s is read by output block s ^ h for each h in the reach
+        # of that block's group, the group its start selects
+        reached = np.asarray(sources, np.intp)[:, None] ^ reach
+        work = np.unique(reached[reached * block & selector == selection])
+    # grouped by the tables their starts select, so each combined table is built once
+    work = work[np.argsort(work * block & selector, kind="stable")].tolist()
+    index, combined = np.empty(block, np.intp), np.empty(block, np.intp)
+    scratch = np.empty(block, amps.dtype)
+    for group, members in groupby(work, key=lambda k: k * block & selector):
+        source = base
+        for high, table in tables:
+            if group & high == high:
+                source = np.bitwise_xor(source, table, out=combined)
+        for k in members:
+            start = k * block
+            np.bitwise_xor(source, start, out=index)
+            np.take(amps, index, out=scratch, mode="wrap")
+            occupied[k] = scratch.view(np.uint8).max() > 0
+            if occupied[k]:
+                out[start : start + block] = scratch
     return out, occupied
 
 

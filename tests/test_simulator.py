@@ -12,7 +12,6 @@ import warnings
 import weakref
 from itertools import groupby
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +33,10 @@ from qrbs.idc import (
     verify_reference_table,
 )
 from qrbs.simulator import RunResult, run
+
+# the dense kernel's block: 2^BLOCK_BITS amplitudes, so qubit BLOCK_BITS is
+# the lowest that moves an amplitude from one block to another
+BLOCK_BITS = dense_module._BLOCK_BITS
 
 
 class TestInitState:
@@ -204,13 +207,14 @@ class TestBasisIndex:
             ({3: 1, 4: 1}, 1e-9),  # two nonzero words
             ({3: 1, 4: 1e-12}, 1e-9),
             ({3: 0.5, 4: 0.5}, 1e-9),
-            # the same across the four 2^16 blocks of an 18-qubit state
-            ({70000: complex(-0.0, 1.0), 5: complex(0.0, -0.0)}, 1e-9),
-            ({1: complex(-0.0, 0.0), 140000: complex(0.0, -0.0), 262143: -0.0}, 1e-9),
+            # the same across the blocks of an 18-qubit state
+            ({1 << BLOCK_BITS | 3: complex(-0.0, 1.0), 5: complex(0.0, -0.0)}, 1e-9),
+            ({1: complex(-0.0, 0.0), 2 << BLOCK_BITS: complex(0.0, -0.0), 262143: -0.0}, 1e-9),
             ({3: 1, 200000: 1}, 1e-9),
-            ({65535: 1e-12, 65536: 1}, 1e-9),
+            ({(1 << BLOCK_BITS) - 1: 1e-12, 1 << BLOCK_BITS: 1}, 1e-9),  # either side of a boundary
             ({262143: 1.001}, 1e-9),
-            ({131072: complex(-0.0, -0.0), 196607: 0.99}, 0.05),
+            ({2 << BLOCK_BITS: complex(-0.0, -0.0), (3 << BLOCK_BITS) - 1: 0.99}, 0.05),
+            ({(1 << BLOCK_BITS + 1) - 1: 1, 1 << BLOCK_BITS + 1: 1e-12}, 1e-9),
         ],
     )
     def test_matches_the_full_scan(self, dtype, entries, tol):
@@ -219,7 +223,7 @@ class TestBasisIndex:
             amps[index] = value
         gathered, occupied = _apply_segment(amps, [])
         assert gathered.tobytes() == amps.tobytes()  # signed zeros too
-        assert list(np.flatnonzero(occupied)) == sorted({index >> 16 for index in entries})
+        assert list(np.flatnonzero(occupied)) == sorted({index >> BLOCK_BITS for index in entries})
         locators = (
             lambda: StateVector(18, amps).basis_index(tol),
             lambda: _occupied_index(gathered, occupied, tol),
@@ -403,7 +407,9 @@ class TestFusedSegmentKernel:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 18), st.integers(0, 40))
     @example(seed=7, num_qubits=18, num_gates=40)
-    @example(seed=12, num_qubits=17, num_gates=40)  # two blocks, one per thread
+    @example(seed=12, num_qubits=BLOCK_BITS - 1, num_gates=40)  # less than one block
+    @example(seed=12, num_qubits=BLOCK_BITS, num_gates=40)  # exactly one block
+    @example(seed=12, num_qubits=BLOCK_BITS + 1, num_gates=40)  # two blocks
     def test_matches_permutation_oracle_on_random_amplitudes(self, seed, num_qubits, num_gates):
         rng = random.Random(seed)
         circuit = interleaved_circuit(rng, num_qubits, num_gates)
@@ -420,8 +426,11 @@ class TestFusedSegmentKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 7))
-    @example(seed=30, num_qubits=17)  # CCNOT(9, 0, 16): pairs across two 2^16 blocks
-    @example(seed=4, num_qubits=18)  # four blocks, two per thread
+    # at 12 block bits, CCNOT(3, 10, 12): pairs across two blocks
+    @example(seed=26, num_qubits=BLOCK_BITS + 1)
+    @example(seed=4, num_qubits=BLOCK_BITS + 2)  # four blocks
+    @example(seed=4, num_qubits=BLOCK_BITS)
+    @example(seed=4, num_qubits=BLOCK_BITS - 1)
     def test_apply_gate_matches_permutation_oracle(self, seed, num_qubits):
         rng = random.Random(seed)
         gate = random_circuit(rng, num_qubits, 1, with_measures=False).gates[0]
@@ -436,33 +445,6 @@ class TestFusedSegmentKernel:
     def test_apply_gate_single_qubit_flip(self):
         state = StateVector(1, np.array([1 + 0j, 2 + 0j]))
         assert list(apply_gate(state, X(0)).amplitudes) == [2 + 0j, 1 + 0j]
-
-    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_one_thread_and_two_threads_gather_the_same_bytes(self, monkeypatch, dtype):
-        gates = dependency_ordered_gates(random.Random(19), 18, 60)
-        assert len(dense_module._static_runs(gates)) == 1  # so the call below is the whole gather
-        values = np.random.default_rng(19).standard_normal((2, 1 << 18))
-        values = (values[0] + 1j * values[1]).astype(dtype)
-        expected = np.empty_like(values)
-        expected[as_permutation(Circuit(18).extend(gates), max_qubits=18)] = values
-        started = []
-
-        class CountedThread(dense_module.threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(dense_module.threading, "Thread", CountedThread)
-        gathered = {}
-        for cpus in (2, 1):
-            usable = set(range(cpus))
-            monkeypatch.setattr(dense_module.os, "sched_getaffinity", lambda pid: usable, raising=False)
-            monkeypatch.setattr(dense_module.os, "cpu_count", lambda: len(usable))
-            started.clear()
-            gathered[cpus], _ = _apply_segment(values, gates)
-            assert len(started) == cpus - 1  # the calling thread gathers one half itself
-        assert gathered[1].dtype == gathered[2].dtype == dtype
-        assert gathered[1].tobytes() == gathered[2].tobytes() == expected.tobytes()
 
     def test_dense_run_holds_complex64(self):
         circuit = Circuit(3, 1).append(X(0)).append(CNOT(0, 2)).append(Measure(2, 0))
@@ -510,24 +492,25 @@ class TestMeasuredRuns:
     @settings(max_examples=20, deadline=None)
     @given(
         st.integers(0, 2**32),
-        st.integers(15, 20),
+        st.integers(BLOCK_BITS - 1, 20),
         st.integers(0, 40),
         st.sampled_from(["first", "middle", "last"]),
     )
     @example(seed=3, num_qubits=17, num_gates=40, where="last")
     @example(seed=8, num_qubits=18, num_gates=40, where="middle")
+    @example(seed=9, num_qubits=BLOCK_BITS - 1, num_gates=40, where="last")
+    @example(seed=9, num_qubits=BLOCK_BITS, num_gates=40, where="last")
+    @example(seed=9, num_qubits=BLOCK_BITS + 1, num_gates=40, where="last")
     def test_dense_runs_match_the_fast_engine(self, seed, num_qubits, num_gates, where):
         rng = random.Random(seed)
         circuit = interleaved_circuit(rng, num_qubits, num_gates)
-        blocks = 1 << max(0, num_qubits - 16)
+        blocks = 1 << max(0, num_qubits - BLOCK_BITS)
         block = {"first": 0, "middle": blocks // 2, "last": blocks - 1}[where]
-        initial = block << 16 | rng.randrange(1 << min(16, num_qubits))
+        initial = block << BLOCK_BITS | rng.randrange(1 << min(BLOCK_BITS, num_qubits))
         fast = run(circuit, initial, "fast")
-        for cpus in (1, 2):
-            with mock.patch.object(dense_module, "_usable_cpus", lambda: cpus):
-                dense = run(circuit, initial, "statevector")
-            assert dense.bits == fast.bits
-            assert dense.final_state.basis_index() == fast.final_state
+        dense = run(circuit, initial, "statevector")
+        assert dense.bits == fast.bits
+        assert dense.final_state.basis_index() == fast.final_state
 
     def test_measurements_make_no_full_scan(self, monkeypatch):
         circuit = interleaved_circuit(random.Random(43), 20, 60)
@@ -572,16 +555,16 @@ class TestMeasuredRuns:
 def dependency_ordered_gates(rng: random.Random, num_qubits: int, num_gates: int) -> list:
     """Random gates in the order a compiler emits them: no later gate writes a control.
 
-    Each qubit is drawn from below or from above bit 16 with even odds, so
-    controls and targets fall on both sides of the 2^16 block boundary.
+    Each qubit is drawn from below or from above the block bits with even
+    odds, so controls and targets fall on both sides of the block boundary.
     """
 
     def draw(taken: set) -> int:
         while True:
-            if num_qubits > 16 and rng.random() < 0.5:
-                qubit = rng.randrange(16, num_qubits)
+            if num_qubits > BLOCK_BITS and rng.random() < 0.5:
+                qubit = rng.randrange(BLOCK_BITS, num_qubits)
             else:
-                qubit = rng.randrange(min(16, num_qubits))
+                qubit = rng.randrange(min(BLOCK_BITS, num_qubits))
             if qubit not in taken:
                 return qubit
 
@@ -602,7 +585,7 @@ def dependency_ordered_gates(rng: random.Random, num_qubits: int, num_gates: int
 def high_control_masks(gates) -> set:
     """The distinct nonzero masks of each gate's controls at or above the block bits."""
     masks = {
-        sum(1 << qubit for qubit in gate_qubits(gate)[:-1] if qubit >= dense_module._BLOCK_BITS)
+        sum(1 << qubit for qubit in gate_qubits(gate)[:-1] if qubit >= BLOCK_BITS)
         for gate in gates
     }
     return masks - {0}
@@ -633,9 +616,7 @@ def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
     expected = np.empty_like(values)
     circuit = Circuit(num_qubits).extend(gates)
     expected[as_permutation(circuit, max_qubits=num_qubits)] = values
-    for cpus in (1, 2):
-        with mock.patch.object(dense_module, "_usable_cpus", lambda: cpus):
-            assert np.array_equal(gather_runs(values, gates)[0], expected)
+    assert np.array_equal(gather_runs(values, gates)[0], expected)
 
 
 class TestPlannedPullBack:
@@ -651,37 +632,45 @@ class TestPlannedPullBack:
         assert_gathers_like_the_oracle(num_qubits, gates)
 
     def test_static_tail_after_a_swap_head(self):
-        swap = [CNOT(4, 17), CNOT(17, 4), CNOT(4, 17)]
-        tail = [CNOT(0, 16), CNOT(17, 16), CCNOT(0, 17, 16), CNOT(16, 18), CNOT(4, 18)]
-        tail.append(CCNOT(16, 4, 18))
+        a, b, c = BLOCK_BITS, BLOCK_BITS + 1, BLOCK_BITS + 2  # the lowest qubits above a block
+        swap = [CNOT(4, b), CNOT(b, 4), CNOT(4, b)]
+        tail = [CNOT(0, a), CNOT(b, a), CCNOT(0, b, a), CNOT(a, c), CNOT(4, c), CCNOT(a, 4, c)]
         gates = swap + tail
         runs = dense_module._static_runs(gates)
         # the swap's first two CNOTs each read a qubit that the next gate writes
         assert [len(gates_of_run) for gates_of_run in runs] == [1, 1, 7]
         assert runs[2] == gates[2:]
-        tables = planned(runs[2], 19).tables
-        assert sorted(high for high, _ in tables) == [1 << 16, 1 << 17]
-        assert_gathers_like_the_oracle(19, gates)
+        tables = planned(runs[2], c + 1).tables
+        assert sorted(high for high, _ in tables) == [1 << a, 1 << b]
+        assert_gathers_like_the_oracle(c + 1, gates)
 
     def test_run_that_turns_non_static_at_once(self):
-        gates = [CCNOT(2, 16, 17), CNOT(17, 2), CNOT(2, 16), CCNOT(16, 17, 3), X(17)]
+        a, b = BLOCK_BITS, BLOCK_BITS + 1
+        gates = [CCNOT(2, a, b), CNOT(b, 2), CNOT(2, a), CCNOT(a, b, 3), X(b)]
         runs = dense_module._static_runs(gates)
         assert runs == [gates[:1], gates[1:4], gates[4:]]
-        plan = planned(runs[-1], 18)
+        plan = planned(runs[-1], b + 1)
         assert plan.tables == ()
-        assert np.array_equal(plan.base, np.arange(1 << 16) ^ 1 << 17)
-        assert_gathers_like_the_oracle(18, gates)
+        assert np.array_equal(plan.base, np.arange(1 << BLOCK_BITS) ^ 1 << b)
+        assert_gathers_like_the_oracle(b + 1, gates)
 
     @pytest.mark.parametrize(
         "num_qubits, gate",
         [
-            (17, X(16)),
-            (17, CNOT(16, 2)),
-            (17, CNOT(2, 16)),
-            (18, CNOT(17, 16)),
-            (18, CCNOT(16, 3, 17)),
-            (18, CCNOT(16, 17, 0)),
-            (18, CCNOT(1, 15, 17)),
+            (17, X(BLOCK_BITS)),
+            (17, CNOT(BLOCK_BITS, 2)),
+            (17, CNOT(2, BLOCK_BITS)),
+            (18, CNOT(BLOCK_BITS + 1, BLOCK_BITS)),
+            (18, CCNOT(BLOCK_BITS, 3, BLOCK_BITS + 1)),
+            (18, CCNOT(BLOCK_BITS, BLOCK_BITS + 1, 0)),
+            (18, CCNOT(1, BLOCK_BITS - 1, BLOCK_BITS + 1)),
+            # narrower than one block, exactly one block, and two blocks
+            (BLOCK_BITS - 1, CCNOT(BLOCK_BITS - 2, 0, 1)),
+            (BLOCK_BITS, CNOT(BLOCK_BITS - 1, 0)),
+            (BLOCK_BITS, X(BLOCK_BITS - 1)),
+            (BLOCK_BITS + 1, X(BLOCK_BITS)),
+            (BLOCK_BITS + 1, CCNOT(BLOCK_BITS, BLOCK_BITS - 1, 0)),
+            (BLOCK_BITS + 1, CNOT(BLOCK_BITS - 1, BLOCK_BITS)),
         ],
     )
     def test_apply_gate_across_the_block_boundary(self, num_qubits, gate):
@@ -717,16 +706,17 @@ class TestPlannedPullBack:
         assert_gathers_like_the_oracle(18, gates)
 
     @settings(max_examples=12, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(17, 21), st.integers(0, 30), st.booleans())
+    @given(st.integers(0, 2**32), st.integers(BLOCK_BITS + 1, 21), st.integers(0, 30), st.booleans())
     @example(seed=5, num_qubits=21, num_gates=30, swap_head=True)
     @example(seed=6, num_qubits=17, num_gates=30, swap_head=False)
+    @example(seed=6, num_qubits=BLOCK_BITS + 1, num_gates=30, swap_head=True)
     def test_grouped_gather_matches_the_oracle(self, seed, num_qubits, num_gates, swap_head):
         rng = random.Random(seed)
         gates = dependency_ordered_gates(rng, num_qubits, num_gates)
         # Appended gates are pulled back first, so they are static: they add
-        # the masks {h1}, {h2} and {h1, h2} (only {16} at 17 qubits, the one
-        # qubit above the block bits), on targets that no gate reads.
-        highs = rng.sample(range(16, num_qubits), min(2, num_qubits - 16))
+        # the masks {h1}, {h2} and {h1, h2} (only {BLOCK_BITS} when it is the
+        # one qubit above the block bits), on targets that no gate reads.
+        highs = rng.sample(range(BLOCK_BITS, num_qubits), min(2, num_qubits - BLOCK_BITS))
         controls = {qubit for gate in gates for qubit in gate_qubits(gate)[:-1]}
         free = [qubit for qubit in range(num_qubits) if qubit not in controls | set(highs)]
         assume(free)
@@ -734,7 +724,7 @@ class TestPlannedPullBack:
         if len(highs) == 2:
             gates.append(CCNOT(*highs, rng.choice(free)))
         if swap_head:  # swap a low and a high qubit first: its first two CNOTs are runs
-            low, high = rng.randrange(16), rng.randrange(16, num_qubits)
+            low, high = rng.randrange(BLOCK_BITS), rng.randrange(BLOCK_BITS, num_qubits)
             gates = [CNOT(low, high), CNOT(high, low), CNOT(low, high)] + gates
         runs = dense_module._static_runs(gates)
         tables = planned(runs[-1], num_qubits).tables
@@ -743,67 +733,114 @@ class TestPlannedPullBack:
         assert_gathers_like_the_oracle(num_qubits, gates)
 
 
+def counted_takes(monkeypatch) -> list:
+    """Record the index array of every ``np.take`` from here on."""
+    indices = []
+    take = np.take
+
+    def counted(array, index, *args, **kwargs):
+        indices.append(index.copy())
+        return take(array, index, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counted)
+    return indices
+
+
 class TestReach:
     """Given the occupied input blocks, the kernel gathers only the blocks they can reach."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(0, 2**32),
-        st.integers(17, 20),
+        st.integers(BLOCK_BITS - 1, 20),
         st.integers(0, 30),
         st.booleans(),
         st.integers(1, 3),
     )
-    # head CNOT(12, 16), CNOT(16, 12) alone: only the first run, CNOT(12, 16), flips qubit 16
-    @example(seed=0, num_qubits=17, num_gates=0, swap_head=True, held=1)
+    # at 12 block bits, head CNOT(6, 12), CNOT(12, 6) alone: only the first run,
+    # CNOT(6, 12), flips qubit 12
+    @example(seed=0, num_qubits=BLOCK_BITS + 1, num_gates=0, swap_head=True, held=1)
     @example(seed=7, num_qubits=20, num_gates=30, swap_head=True, held=2)
     @example(seed=10, num_qubits=17, num_gates=30, swap_head=False, held=1)
+    @example(seed=10, num_qubits=BLOCK_BITS - 1, num_gates=30, swap_head=False, held=1)
+    @example(seed=10, num_qubits=BLOCK_BITS, num_gates=30, swap_head=False, held=1)
+    @example(seed=10, num_qubits=BLOCK_BITS + 1, num_gates=30, swap_head=False, held=2)
     def test_sourced_gather_matches_the_full_gather(
         self, seed, num_qubits, num_gates, swap_head, held
     ):
         rng = random.Random(seed)
         gates = dependency_ordered_gates(rng, num_qubits, num_gates)
-        if swap_head:
+        if swap_head and num_qubits > BLOCK_BITS:
             # a swap of a low and a high qubit, or its first two CNOTs: either way the
             # first CNOT is a run of its own and may flip the high qubit, which in the
             # shorter head no later run flips
-            low, high = rng.randrange(16), rng.randrange(16, num_qubits)
+            low, high = rng.randrange(BLOCK_BITS), rng.randrange(BLOCK_BITS, num_qubits)
             head = [CNOT(low, high), CNOT(high, low), CNOT(low, high)]
             gates = head[: rng.choice([2, 3])] + gates
-        blocks = 1 << num_qubits - 16
+        block_bits = min(BLOCK_BITS, num_qubits)
+        blocks = 1 << num_qubits - block_bits
         values = np.zeros(1 << num_qubits, np.complex64)
         for block in rng.sample(range(blocks), min(held, blocks)):
             for _ in range(rng.randint(1, 4)):
                 word = rng.choice([1, 0.5 - 1j, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
-                values[block << 16 | rng.randrange(1 << 16)] = word
+                values[block << block_bits | rng.randrange(1 << block_bits)] = word
         # occupancy by nonzero byte, as the kernel's own scan flags it: -0.0 counts
         sources = np.flatnonzero(values.view(np.uint8).reshape(blocks, -1).max(axis=1))
-        for cpus in (1, 2):
-            with mock.patch.object(dense_module, "_usable_cpus", lambda: cpus):
-                full, full_occupied = gather_runs(values, gates)
-                sourced, sourced_occupied = gather_runs(values, gates, sources)
-            assert sourced.tobytes() == full.tobytes()
-            assert np.array_equal(sourced_occupied, full_occupied)
+        full, full_occupied = gather_runs(values, gates)
+        sourced, sourced_occupied = gather_runs(values, gates, sources)
+        assert sourced.tobytes() == full.tobytes()
+        assert np.array_equal(sourced_occupied, full_occupied)
 
-    def test_a_staging_run_gathers_under_a_quarter_of_its_blocks(self, monkeypatch):
-        compiled = build_idc_circuit()
-        blocks = 1 << compiled.circuit.num_qubits - 16
-        assert blocks == 256  # 24 qubits
-        takes = []
-        take = np.take
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(BLOCK_BITS - 1, 20),
+        st.integers(0, 30),
+        st.lists(st.integers(0, 2**8 - 1), min_size=0, max_size=4),
+    )
+    @example(seed=3, num_qubits=20, num_gates=30, held=[0])
+    @example(seed=4, num_qubits=BLOCK_BITS + 1, num_gates=30, held=[1, 1])
+    @example(seed=5, num_qubits=BLOCK_BITS, num_gates=30, held=[0])
+    def test_gathered_blocks_match_a_brute_force_scan(self, seed, num_qubits, num_gates, held):
+        gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
+        assert dense_module._static_runs(gates) in ([gates], [])
+        plan = planned(gates, num_qubits)
+        block = 1 << min(BLOCK_BITS, num_qubits)
+        blocks = (1 << num_qubits) // block
+        sources = {k % blocks for k in held}
+        # output block k reads input block k ^ h for each h in the reach of its
+        # group, the group whose selection k's start matches
+        reach = {}
+        for h, selection in zip(plan.reach.tolist(), plan.selection.tolist()):
+            reach.setdefault(selection, []).append(h)
+        expected = {
+            k
+            for k in range(blocks)
+            if any(k ^ h in sources for h in reach[k * block & plan.selector])
+        }
+        # the kernel's gathered blocks, found through the oracle: the take of
+        # output block k pulls back indices whose images lie in block k
+        permutation = as_permutation(Circuit(num_qubits).extend(gates), max_qubits=20)
+        values = np.zeros(1 << num_qubits, np.complex64)
+        with pytest.MonkeyPatch.context() as patch:
+            indices = counted_takes(patch)
+            _apply_segment(values, gates, sorted(sources))
+        gathered = [int(permutation[index[0]]) // block for index in indices]
+        assert len(gathered) == len(set(gathered))  # no block is gathered twice
+        assert set(gathered) == expected
 
-        def counted(*args, **kwargs):
-            takes.append(1)
-            return take(*args, **kwargs)
-
-        monkeypatch.setattr(np, "take", counted)
-        for qubit in range(len(INPUT_COMPLEXES)):
-            one_hot = [int(k == qubit) for k in range(len(INPUT_COMPLEXES))]
-            takes.clear()
-            stages, result = run_activation(one_hot, "statevector", compiled)
-            assert 0 < len(takes) < blocks // 4
-            fast_stages, fast = run_activation(one_hot, "fast", compiled)
-            assert stages == fast_stages and result.bits == fast.bits
+    def test_each_staging_run_gathers_under_2_18_amplitudes(self):
+        unshared = CompileOptions(share_subexpressions=False, ancilla_budget=10)
+        for compiled in (build_idc_circuit(), build_idc_circuit(unshared)):
+            assert compiled.circuit.num_qubits in (24, 25)
+            for qubit in range(len(INPUT_COMPLEXES)):
+                one_hot = [int(k == qubit) for k in range(len(INPUT_COMPLEXES))]
+                with pytest.MonkeyPatch.context() as patch:
+                    indices = counted_takes(patch)
+                    stages, result = run_activation(one_hot, "statevector", compiled)
+                assert 0 < sum(index.size for index in indices) < 1 << 18
+                fast_stages, fast = run_activation(one_hot, "fast", compiled)
+                assert stages == fast_stages and result.bits == fast.bits
 
 
 class TestPlanCache:
@@ -817,9 +854,8 @@ class TestPlanCache:
         gates = dependency_ordered_gates(random.Random(23), 19, 30)
         masks = dense_module._run_masks(gates, 19)
         plan = dense_module._cached_plan(masks, 19)
-        assert plan.tables and len(plan.groups) > 1
-        arrays = [plan.base, *(table for _, table in plan.tables)]
-        arrays += [array for _, members, reach in plan.groups for array in (members, reach)]
+        assert plan.tables and np.unique(plan.selection).size > 1
+        arrays = [plan.base, *(table for _, table in plan.tables), plan.reach, plan.selection]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
