@@ -12,10 +12,9 @@ staging application built on all of it (:mod:`qrbs.idc`).
 
 Only the dense engine (:mod:`qrbs.dense`, loaded on the first dense
 run) uses numpy, which the ``dense`` extra installs; the fast path runs
-without it. :class:`StateVector`, :func:`apply_gate` and
-:func:`init_state` are read from :mod:`qrbs.dense` when first looked up
-here, and importing the package only registers numpy to load on first
-use (:func:`_defer_numpy`).
+without it. :class:`StateVector` and :func:`init_state` are read from
+:mod:`qrbs.dense` when first looked up here, and importing the package
+only registers numpy to load on first use (:func:`_defer_numpy`).
 """
 
 import importlib.util
@@ -104,7 +103,7 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     # the dense engine's names load qrbs.dense, and so numpy, on first use
-    if name in ("StateVector", "apply_gate", "init_state"):
+    if name in ("StateVector", "init_state"):
         from . import dense
 
         return getattr(dense, name)

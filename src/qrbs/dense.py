@@ -11,8 +11,7 @@ gate flips the pulled-back index by a function of the output index alone.
 :func:`run` cuts a circuit's unitary gates into maximal static runs
 (:func:`_static_runs`) and gathers them one after the other: no gate
 touches a measured qubit, so every measurement reads the final basis
-state. :func:`apply_gate` gathers its one gate, which is always a static
-run. Compiled circuits emit gates in dependency order, so each of their
+state. Compiled circuits emit gates in dependency order, so each of their
 circuits is a single run. For each block of 2^12 output indices the
 kernel pulls the indices back through the run, then gathers the
 amplitudes with ``np.take`` into the output array. The pull-back is
@@ -29,46 +28,42 @@ gathers its own state.
 The indices are ``np.intp``, which ``np.take`` uses without converting.
 Every index is an XOR of offsets, block start and gate masks, so it is in
 range once every gate's qubits are: the kernel checks that on every call,
-before it looks up the plan, because :func:`apply_gate` takes a gate no
-:class:`Circuit` admitted, and the take then runs in ``mode="wrap"``,
+before it looks up the plan, and the take then runs in ``mode="wrap"``,
 which writes straight into its ``out`` array (the default ``mode="raise"``
-gathers into a buffer and copies it).
+gathers into a buffer and copies it) but would read a wrong amplitude,
+not raise, for an index out of range.
 
 The kernel gathers only the output blocks that can hold amplitude. Its
 caller names the input blocks that may hold a nonzero byte: :func:`run`
 names the block of its basis state for its first run, and for each later
-run the blocks that the run before it flagged occupied; :func:`apply_gate`
-names every block (and then nothing is skipped, and no reach is
-computed). Output block ``k`` reads input block ``k ^ h`` for each value
-``h`` that its group's combined table takes above the block bits. Those
-bits depend only on the low controls of the gates that target a qubit
-above the block bits, so the plan reads each group's values at the few
-offsets that vary only those controls and keeps the distinct ``h``, all
-groups' in one flat array beside the selection of the group each belongs
-to. A call works from the source side in one vectorised step: it XORs
-every named block with every ``h``, keeps each candidate whose start
-selects that ``h``'s group, and takes the distinct survivors. An output
-block that can read no named block pulls back only zeros and is never
-gathered: a 25-qubit staging run gathers 44 of its 8 192 blocks, 180 224
-amplitudes.
+run the blocks that the run before it flagged occupied. Output block
+``k`` reads input block ``k ^ h`` for each value ``h`` that its group's
+combined table takes above the block bits. Those bits depend only on the
+low controls of the gates that target a qubit above the block bits, so
+the plan reads each group's values at the few offsets that vary only
+those controls and keeps the distinct ``h``, all groups' in one flat
+array beside the selection of the group each belongs to. A call works
+from the source side in one vectorised step: it XORs every named block
+with every ``h``, keeps each candidate whose start selects that ``h``'s
+group, and takes the distinct survivors. An output block that can read
+no named block pulls back only zeros and is never gathered: a 25-qubit
+staging run gathers 44 of its 8 192 blocks, 180 224 amplitudes.
 
 The kernel writes only the blocks that hold amplitude. Its output comes
-from ``np.zeros``, which numpy allocates with ``calloc``, so the pages of
-a large state are not backed by memory until they are written. The kernel
-gathers each block into a one-block scratch buffer, which stays in cache,
-and copies it into the output only if it holds a nonzero byte; the same
-test flags the block as occupied, so :func:`run` finds the measured basis
-state in the occupied blocks alone, with no second pass over the state. A
-run from a basis state occupies one block and writes only that one. The
-gather runs on the calling thread: at 2^12-index blocks a second thread
-cost more wall and CPU time than it saved, on the staging runs and on
-full states alike. Every call returns a new array, so no run writes a
-state that a caller holds.
+from ``np.zeros``, which numpy allocates with ``calloc``, so the pages
+of a large state are not backed by memory until they are written. The
+kernel gathers each block into a one-block scratch buffer, which stays
+in cache, and copies it into the output only if it holds a nonzero byte;
+the same test flags the block as occupied, so :func:`run` finds the
+measured basis state in the occupied blocks alone, with no second pass
+over the state. A run from a basis state occupies one block and writes
+only that one. The gather runs on the calling thread: at 2^12-index
+blocks a second thread cost more wall and CPU time than it saved. Every
+call returns a new array, so no run writes a state that a caller holds.
 
 :func:`init_state` allocates complex64: a permutation circuit run from a
 basis state only ever holds the amplitudes 0 and 1, which complex64 holds
-exactly, at half the memory traffic of complex128. A caller-built state
-keeps its own dtype through :func:`apply_gate`.
+exactly, at half the memory traffic of complex128.
 """
 
 from __future__ import annotations
@@ -86,7 +81,7 @@ import numpy as np
 from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X
 from .errors import SimulationError
 
-__all__ = ["DEFAULT_MAX_QUBITS", "StateVector", "apply_gate", "init_state", "run"]
+__all__ = ["DEFAULT_MAX_QUBITS", "StateVector", "init_state", "run"]
 
 # 2^26 complex64 amplitudes is 512 MiB, and run() holds two states while it
 # gathers one static run into the next (1 GiB at peak); larger needs an
@@ -95,9 +90,8 @@ DEFAULT_MAX_QUBITS = 26
 
 # Output indices per block of the fused gather: 2^12 indices (32 KiB as
 # 64-bit np.intp) stay in cache while a run's tables are XORed into them.
-# Small blocks follow a run's reach closely (a 25-qubit staging run from a
-# basis state gathers 44 blocks, 180 224 amplitudes), but each block costs
-# one Python iteration when the whole state is gathered.
+# Small blocks follow a run's reach closely: a 25-qubit staging run from a
+# basis state gathers 44 blocks, 180 224 amplitudes, one Python iteration each.
 _BLOCK_BITS = 12
 
 # Plans kept between calls, keyed by a run's gate masks and width: each holds
@@ -121,7 +115,7 @@ def _gate_masks(gate: Gate) -> tuple[int, int]:
                 return _bit(control), _bit(target)
             case CCNOT(control1, control2, target):
                 return _bit(control1) | _bit(control2), _bit(target)
-    except TypeError:  # apply_gate takes gates no Circuit checked
+    except TypeError:  # a float qubit index (1 << 1.0), which Circuit refuses too
         raise SimulationError(f"gate {gate!r} has a non-integer qubit index") from None
     raise SimulationError(f"not a unitary gate: {gate!r}")
 
@@ -251,23 +245,23 @@ def _cached_plan(masks: tuple[tuple[int, int], ...], num_qubits: int) -> _Plan:
 
 
 def _apply_segment(
-    amps: np.ndarray, gates: Sequence[Gate], sources: Sequence[int] | None = None
+    amps: np.ndarray, gates: Sequence[Gate], sources: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply a static run of unitary gates as one gather, as the module docstring lays out.
 
     ``sources`` numbers the input blocks of ``2^min(12, n)`` amplitudes that
-    may hold a nonzero byte; every other block must hold only zero bytes
-    (None: every block may). Returns a new output array and one flag per
-    output block, set when the block holds a nonzero byte, for the next
-    run's ``sources`` and :func:`_occupied_index`. X, CNOT and CCNOT are
-    each their own inverse, so output amplitude ``i`` is input amplitude
-    ``g1(g2(...gk(i)))``: the index is pulled back through the gates from
-    last to first into preallocated buffers. Only the output blocks whose
-    pulled-back indices can fall in a source block are gathered; every
-    other block pulls back only zeros and stays as ``np.zeros`` left it.
-    :func:`_run_masks` raises :class:`SimulationError` before any gather if
-    a gate names a qubit outside the state: only then is every index below
-    ``amps.size``, which the unbuffered ``mode="wrap"`` take relies on.
+    may hold a nonzero byte; every other block must hold only zero bytes.
+    Returns a new output array and one flag per output block, set when the
+    block holds a nonzero byte, for the next run's ``sources`` and
+    :func:`_occupied_index`. X, CNOT and CCNOT are each their own inverse,
+    so output amplitude ``i`` is input amplitude ``g1(g2(...gk(i)))``: the
+    index is pulled back through the gates from last to first into
+    preallocated buffers. Only the output blocks whose pulled-back indices
+    can fall in a source block are gathered; every other block pulls back
+    only zeros and stays as ``np.zeros`` left it. :func:`_run_masks` raises
+    :class:`SimulationError` before any gather if a gate names a qubit
+    outside the state: only then is every index below ``amps.size``, which
+    the unbuffered ``mode="wrap"`` take relies on.
     """
     num_qubits = amps.size.bit_length() - 1
     base, tables, selector, reach, selection = _cached_plan(
@@ -277,13 +271,10 @@ def _apply_segment(
     blocks = amps.size // block
     out = np.zeros(amps.shape, amps.dtype)  # not zeros_like, which writes every page
     occupied = np.zeros(blocks, dtype=bool)
-    if sources is None:
-        work = np.arange(blocks)
-    else:
-        # source block s is read by output block s ^ h for each h in the reach
-        # of that block's group, the group its start selects
-        reached = np.asarray(sources, np.intp)[:, None] ^ reach
-        work = np.unique(reached[reached * block & selector == selection])
+    # source block s is read by output block s ^ h for each h in the reach
+    # of that block's group, the group its start selects
+    reached = np.asarray(sources, np.intp)[:, None] ^ reach
+    work = np.unique(reached[reached * block & selector == selection])
     # grouped by the tables their starts select, so each combined table is built once
     work = work[np.argsort(work * block & selector, kind="stable")].tolist()
     index, combined = np.empty(block, np.intp), np.empty(block, np.intp)
@@ -389,19 +380,6 @@ def _check_memory(num_qubits: int, dtype: np.dtype | type) -> None:
             f"{num_qubits} qubits need two dense states of {state_bytes / 2**30:.1f} GiB, "
             f"but physical memory is {physical / 2**30:.1f} GiB"
         )
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one unitary gate; returns a new state, input untouched.
-
-    Raises :class:`SimulationError` unless the amplitudes are a 1-D array of
-    ``2^num_qubits`` entries: the kernel takes the width from their number.
-    """
-    shape = getattr(state.amplitudes, "shape", None)
-    if shape != (2**state.num_qubits,):
-        raise SimulationError(f"{state.num_qubits} qubits need 2^n amplitudes, not shape {shape}")
-    amplitudes, _ = _apply_segment(state.amplitudes, [gate])
-    return StateVector(state.num_qubits, amplitudes)
 
 
 def run(

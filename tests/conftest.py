@@ -4,7 +4,8 @@ oracles the engines are checked against.
 :func:`as_permutation` is a third oracle, sharing no code with either
 engine: it runs a circuit on every basis index at once with numpy.
 :func:`results_agree` and :func:`engines_agree` compare a fast run with a
-dense one.
+dense one. :func:`gather_every_block` drives the dense kernel on a state
+built by a test, every block of which may hold amplitude.
 """
 
 from __future__ import annotations
@@ -12,12 +13,18 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import settings
 
 from qrbs.categorical import ConstraintRule
 from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X
 from qrbs.errors import CircuitError, SimulationError
 from qrbs.rules import And, Atom, Implies, Not, Or, Rule, RuleNetwork
 from qrbs.simulator import RunResult, run
+
+# The larger, random budget of the command-line fuzz (tests/test_fuzz.py), chosen with
+# `pytest tests/test_fuzz.py --hypothesis-profile fuzz`; without it the fuzz runs a
+# small fixed budget.
+settings.register_profile("fuzz", max_examples=1000, deadline=None)
 
 
 def as_permutation(circuit: Circuit, max_qubits: int = 16) -> np.ndarray:
@@ -62,6 +69,24 @@ def engines_agree(circuit: Circuit, initial: int = 0, max_qubits: int | None = N
     fast = run(circuit, initial, "fast")
     dense = run(circuit, initial, "statevector", max_qubits)
     return results_agree(fast, dense)
+
+
+def every_block(amplitudes: np.ndarray) -> range:
+    """The numbers of all of a dense state's blocks, to name each as a gather source."""
+    from qrbs import dense  # loads numpy only when a dense test runs
+
+    return range(max(1, amplitudes.size >> dense._BLOCK_BITS))
+
+
+def gather_every_block(amplitudes: np.ndarray, gates) -> tuple:
+    """One gather of a static run of ``gates`` that reads every block of ``amplitudes``.
+
+    Returns the dense kernel's new output array and per-block occupancy
+    flags; the input is left as it was.
+    """
+    from qrbs import dense
+
+    return dense._apply_segment(amplitudes, gates, every_block(amplitudes))
 
 
 def norm_sq(state) -> float:

@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import norm_sq, random_circuit, random_network, results_agree
+from conftest import gather_every_block, norm_sq, random_circuit, random_network, results_agree
 from qrbs.categorical import Presence, build_elb, diagnose, index_to_complex, parse_constraints, reduce_to_rlb
 from qrbs.circuit import Circuit, Measure
 from qrbs.compiler import CompileOptions, compile_network, verify_compilation
 from qrbs.errors import OneHotError
 from qrbs.idc import TnmClass, build_idc_circuit, run_activation, stage
 from qrbs.rules import parse_rules
-from qrbs.dense import apply_gate, init_state
+from qrbs.dense import init_state
 from qrbs.simulator import run
 
 # The fifteen staging rows: TNM, activated qubit, output bits, stage set.
@@ -161,10 +161,10 @@ def test_engines_agree_on_1000_random_circuits():
         unitaries = [g for g in circuit.gates if not isinstance(g, Measure)]
         state = init_state(num_qubits, initial)
         for gate in unitaries:
-            state = apply_gate(state, gate)
+            state.amplitudes, _ = gather_every_block(state.amplitudes, [gate])
             assert abs(np.sqrt(norm_sq(state)) - 1.0) <= 1e-9, f"circuit {index}"
         for gate in reversed(unitaries):
-            state = apply_gate(state, gate)
+            state.amplitudes, _ = gather_every_block(state.amplitudes, [gate])
         expected = init_state(num_qubits, initial).amplitudes
         assert float(np.linalg.norm(state.amplitudes - expected)) <= 1e-9, f"circuit {index}"
 

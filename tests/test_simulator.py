@@ -18,12 +18,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_permutation, engines_agree, norm_sq, random_circuit, results_agree
+from conftest import (
+    as_permutation,
+    engines_agree,
+    every_block,
+    gather_every_block,
+    norm_sq,
+    random_circuit,
+    results_agree,
+)
 from qrbs import dense as dense_module
 from qrbs import planes, simulator
 from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, gate_qubits
 from qrbs.compiler import CompileOptions
-from qrbs.dense import StateVector, _apply_segment, _occupied_index, apply_gate, init_state
+from qrbs.dense import StateVector, _apply_segment, _occupied_index, init_state
 from qrbs.errors import SimulationError
 from qrbs.idc import (
     INPUT_COMPLEXES,
@@ -69,73 +77,62 @@ class TestInitState:
             init_state(*args)
 
 
-class TestApplyGate:
+class TestOneGateGather:
+    """The dense kernel on one gate, with every block of the state named as a source."""
+
     def test_x_flips_ground_state(self):
-        state = apply_gate(init_state(1), X(0))
-        assert state.amplitudes[1] == 1
-        assert state.amplitudes[0] == 0
+        amplitudes, _ = gather_every_block(init_state(1).amplitudes, [X(0)])
+        assert amplitudes[1] == 1
+        assert amplitudes[0] == 0
 
     def test_cnot_on_superposition(self):
         # (|00> + |10>)/sqrt(2) with control q0 -> (|00> + |11>)/sqrt(2);
         # exercises amplitude handling beyond single basis states.
         amps = np.zeros(4, dtype=np.complex128)
         amps[0b00] = amps[0b01] = 1 / math.sqrt(2)
-        state = apply_gate(StateVector(2, amps), CNOT(0, 1))
+        amplitudes, _ = gather_every_block(amps, [CNOT(0, 1)])
         expected = np.zeros(4, dtype=np.complex128)
         expected[0b00] = expected[0b11] = 1 / math.sqrt(2)
-        assert np.allclose(state.amplitudes, expected)
+        assert np.allclose(amplitudes, expected)
 
     def test_toffoli_truth_table(self):
-        state = apply_gate(init_state(3, 0b011), CCNOT(0, 1, 2))
-        assert state.amplitudes[0b111] == 1
+        amplitudes, _ = gather_every_block(init_state(3, 0b011).amplitudes, [CCNOT(0, 1, 2)])
+        assert amplitudes[0b111] == 1
 
     def test_measure_rejected(self):
         with pytest.raises(SimulationError, match="not a unitary"):
-            apply_gate(init_state(1), Measure(0, 0))
+            gather_every_block(init_state(1).amplitudes, [Measure(0, 0)])
 
     def test_non_gate_rejected(self):
         with pytest.raises(SimulationError, match="not a unitary"):
-            apply_gate(init_state(1), {})
+            gather_every_block(init_state(1).amplitudes, [{}])
 
     def test_out_of_range_gate(self):
         with pytest.raises(SimulationError, match="out of range"):
-            apply_gate(init_state(2), X(5))
+            gather_every_block(init_state(2).amplitudes, [X(5)])
 
     @pytest.mark.parametrize("gate", [X(1.0), X(True), CNOT(0, 1.5), CNOT(False, 1), CCNOT(0, 1.0, 2)])
     def test_non_integer_index_rejected(self, gate):
         with pytest.raises(SimulationError, match="non-integer"):
-            apply_gate(init_state(3), gate)
-
-    @pytest.mark.parametrize(
-        "num_qubits, amplitudes",
-        [
-            (3, np.full(6, 7 + 7j, np.complex64)),  # too few: two would go unwritten
-            (2, np.eye(1, 8, 5, np.complex64)[0]),  # too many: run as three qubits
-            (3, np.eye(2, 4, 0, np.complex64)),  # 2-D
-            (0, np.zeros(0, np.complex64)),  # empty
-        ],
-        ids=["short", "long", "2-D", "empty"],
-    )
-    def test_amplitudes_must_match_the_width(self, num_qubits, amplitudes):
-        with pytest.raises(SimulationError, match="amplitudes"):
-            apply_gate(StateVector(num_qubits, amplitudes), X(0))
+            gather_every_block(init_state(3).amplitudes, [gate])
 
     def test_input_state_is_untouched(self):
         state = init_state(1)
-        apply_gate(state, X(0))
+        gather_every_block(state.amplitudes, [X(0)])
         assert state.amplitudes[0] == 1
 
     @pytest.mark.parametrize(
         "gate", [X(True), X(1.0), X(3), {}], ids=["bool", "float", "beyond", "non-gate"]
     )
-    def test_a_cached_plan_refuses_what_apply_gate_refuses(self, gate):
+    def test_a_cached_plan_refuses_what_the_kernel_refuses(self, gate):
         # X(True) and X(1.0) equal X(1) as dataclasses, so a plan cache keyed
         # on gates would hand them X(1)'s plan
         dense_module._cached_plan.cache_clear()
-        assert np.flatnonzero(apply_gate(init_state(3), X(1)).amplitudes).tolist() == [2]
+        amplitudes, _ = gather_every_block(init_state(3).amplitudes, [X(1)])
+        assert np.flatnonzero(amplitudes).tolist() == [2]
         assert dense_module._cached_plan.cache_info().currsize == 1
         with pytest.raises(SimulationError):
-            apply_gate(init_state(3), gate)
+            gather_every_block(init_state(3).amplitudes, [gate])
 
 
 class TestBasisIndex:
@@ -221,7 +218,7 @@ class TestBasisIndex:
         amps = np.zeros(1 << 18, dtype=dtype)
         for index, value in entries.items():
             amps[index] = value
-        gathered, occupied = _apply_segment(amps, [])
+        gathered, occupied = gather_every_block(amps, [])
         assert gathered.tobytes() == amps.tobytes()  # signed zeros too
         assert list(np.flatnonzero(occupied)) == sorted({index >> BLOCK_BITS for index in entries})
         locators = (
@@ -362,7 +359,7 @@ class TestNormAndReversal:
         circuit = random_circuit(rng, num_qubits, num_gates, with_measures=False)
         state = init_state(num_qubits, rng.randrange(1 << num_qubits))
         for gate in circuit.gates:
-            state = apply_gate(state, gate)
+            state.amplitudes, _ = gather_every_block(state.amplitudes, [gate])
             assert abs(norm_sq(state) - 1.0) <= 1e-9
             # permutation closure: still a single unit-modulus amplitude
             nonzero = np.flatnonzero(state.amplitudes)
@@ -418,7 +415,7 @@ class TestFusedSegmentKernel:
         amplitudes = values
         for measuring, gates in groupby(circuit.gates, key=lambda gate: isinstance(gate, Measure)):
             if not measuring:
-                amplitudes, _ = gather_runs(amplitudes, list(gates))
+                amplitudes, _ = gather_runs(amplitudes, list(gates), every_block(amplitudes))
         expected = np.empty_like(values)
         expected[as_permutation(circuit, max_qubits=18)] = values  # amplitude at i moves to perm[i]
         assert np.array_equal(amplitudes, expected)
@@ -431,28 +428,28 @@ class TestFusedSegmentKernel:
     @example(seed=4, num_qubits=BLOCK_BITS + 2)  # four blocks
     @example(seed=4, num_qubits=BLOCK_BITS)
     @example(seed=4, num_qubits=BLOCK_BITS - 1)
-    def test_apply_gate_matches_permutation_oracle(self, seed, num_qubits):
+    def test_one_gate_matches_permutation_oracle(self, seed, num_qubits):
         rng = random.Random(seed)
         gate = random_circuit(rng, num_qubits, 1, with_measures=False).gates[0]
         values = np.random.default_rng(seed).standard_normal((2, 1 << num_qubits))
         values = values[0] + 1j * values[1]
-        state = StateVector(num_qubits, values.copy())
+        amplitudes = values.copy()
         expected = np.empty_like(values)
         expected[as_permutation(Circuit(num_qubits).append(gate), max_qubits=18)] = values
-        assert np.array_equal(apply_gate(state, gate).amplitudes, expected)
-        assert np.array_equal(state.amplitudes, values)
+        assert np.array_equal(gather_every_block(amplitudes, [gate])[0], expected)
+        assert np.array_equal(amplitudes, values)
 
-    def test_apply_gate_single_qubit_flip(self):
-        state = StateVector(1, np.array([1 + 0j, 2 + 0j]))
-        assert list(apply_gate(state, X(0)).amplitudes) == [2 + 0j, 1 + 0j]
+    def test_one_gate_single_qubit_flip(self):
+        amplitudes = np.array([1 + 0j, 2 + 0j])
+        assert list(gather_every_block(amplitudes, [X(0)])[0]) == [2 + 0j, 1 + 0j]
 
     def test_dense_run_holds_complex64(self):
         circuit = Circuit(3, 1).append(X(0)).append(CNOT(0, 2)).append(Measure(2, 0))
         assert run(circuit, engine="statevector").final_state.amplitudes.dtype == np.complex64
 
-    def test_apply_gate_keeps_complex128(self):
-        state = StateVector(2, np.array([1, 0, 0, 0], dtype=np.complex128))
-        assert apply_gate(state, CNOT(1, 0)).amplitudes.dtype == np.complex128
+    def test_gather_keeps_complex128(self):
+        amplitudes = np.array([1, 0, 0, 0], dtype=np.complex128)
+        assert gather_every_block(amplitudes, [CNOT(1, 0)])[0].dtype == np.complex128
 
     def test_dense_engine_needs_no_other_oracle(self, monkeypatch):
         rng = random.Random(41)
@@ -591,10 +588,12 @@ def high_control_masks(gates) -> set:
     return masks - {0}
 
 
-def gather_runs(values: np.ndarray, gates, sources=None) -> tuple:
+def gather_runs(values: np.ndarray, gates, sources) -> tuple:
     """Gather ``gates`` static run by static run, as ``dense.run`` does.
 
-    Each run reads the blocks that the run before it flagged occupied.
+    The first run reads the blocks in ``sources`` (:func:`every_block` for
+    a state that may hold amplitude anywhere), and each later run the
+    blocks that the run before it flagged occupied.
     Returns the last run's output and occupancy flags (``values`` and None
     when there is no gate).
     """
@@ -616,7 +615,7 @@ def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
     expected = np.empty_like(values)
     circuit = Circuit(num_qubits).extend(gates)
     expected[as_permutation(circuit, max_qubits=num_qubits)] = values
-    assert np.array_equal(gather_runs(values, gates)[0], expected)
+    assert np.array_equal(gather_runs(values, gates, every_block(values))[0], expected)
 
 
 class TestPlannedPullBack:
@@ -673,13 +672,12 @@ class TestPlannedPullBack:
             (BLOCK_BITS + 1, CNOT(BLOCK_BITS - 1, BLOCK_BITS)),
         ],
     )
-    def test_apply_gate_across_the_block_boundary(self, num_qubits, gate):
+    def test_one_gate_across_the_block_boundary(self, num_qubits, gate):
         values = np.random.default_rng(7).standard_normal((2, 1 << num_qubits))
         values = values[0] + 1j * values[1]
         expected = np.empty_like(values)
         expected[as_permutation(Circuit(num_qubits).append(gate), max_qubits=18)] = values
-        state = StateVector(num_qubits, values.copy())
-        assert np.array_equal(apply_gate(state, gate).amplitudes, expected)
+        assert np.array_equal(gather_every_block(values, [gate])[0], expected)
 
     def test_staging_circuits_plan_to_tables_only(self):
         unshared = CompileOptions(share_subexpressions=False, ancilla_budget=10)
@@ -786,7 +784,7 @@ class TestReach:
                 values[block << block_bits | rng.randrange(1 << block_bits)] = word
         # occupancy by nonzero byte, as the kernel's own scan flags it: -0.0 counts
         sources = np.flatnonzero(values.view(np.uint8).reshape(blocks, -1).max(axis=1))
-        full, full_occupied = gather_runs(values, gates)
+        full, full_occupied = gather_runs(values, gates, every_block(values))
         sourced, sourced_occupied = gather_runs(values, gates, sources)
         assert sourced.tobytes() == full.tobytes()
         assert np.array_equal(sourced_occupied, full_occupied)
@@ -981,8 +979,8 @@ class TestFreshOutput:
     @pytest.mark.parametrize("spoil", ["freeze", "restride"])
     def test_a_spoilt_output_is_not_handed_out_again(self, spoil):
         # a holder may make its state read-only, or give it zero strides,
-        # before dropping it; the next run and apply_gate still return a
-        # fresh, writable output with the exact state
+        # before dropping it; the next run and the next gather still return
+        # a fresh, writable output with the exact state
         circuit = measured_circuit(17)
         spoilt = run(circuit, 3, "statevector").final_state.amplitudes
         if spoil == "freeze":
@@ -997,7 +995,7 @@ class TestFreshOutput:
         assert dropped() is None
         assert second.final_state.amplitudes.flags.writeable
         assert_exact(second, circuit, 5)
-        after = apply_gate(init_state(17, 6), X(0)).amplitudes
+        after, _ = gather_every_block(init_state(17, 6).amplitudes, [X(0)])
         assert after.flags.writeable
         assert np.flatnonzero(after).tolist() == [7]
 

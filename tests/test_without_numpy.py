@@ -122,19 +122,21 @@ def test_numpy_loads_with_the_first_dense_run():
 
         assert results_agree(fast.result, dense.result)
 
-        from qrbs import StateVector, apply_gate, init_state
+        from qrbs import StateVector, init_state
         from qrbs.dense import DEFAULT_MAX_QUBITS
 
         assert StateVector is qrbs.dense.StateVector is type(dense.result.final_state)
-        assert apply_gate(init_state(2), qrbs.X(1)).basis_index() == 2
+        assert init_state is qrbs.dense.init_state
+        assert init_state(2, 2).basis_index() == 2
         assert DEFAULT_MAX_QUBITS == 26
         assert sys.modules["numpy"].__version__
-        try:
-            qrbs.no_such_name
-        except AttributeError:
-            pass
-        else:
-            raise AssertionError("qrbs.no_such_name resolved")
+        for name in ("no_such_name", "apply_gate"):
+            try:
+                getattr(qrbs, name)
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError(f"qrbs.{name} resolved")
         """
     )
     assert done.returncode == 0, done.stderr
