@@ -12,7 +12,7 @@ gate flips the pulled-back index by a function of the output index alone.
 (:func:`_static_runs`) and gathers them one after the other: no gate
 touches a measured qubit, so every measurement reads the final basis
 state. Compiled circuits emit gates in dependency order, so each of their
-circuits is a single run. For each block of 2^12 output indices the
+circuits is a single run. For each block of 2^9 output indices the
 kernel pulls the indices back through the run, then gathers the
 amplitudes with ``np.take`` into the output array. The pull-back is
 planned before the blocks: the gates are folded into a few precomputed
@@ -20,15 +20,19 @@ tables, one per mask of controls above the block bits, and a block's start
 selects the tables whose mask it satisfies. Blocks whose starts select the
 same tables form a group; the kernel XORs a group's tables into one
 combined table, and a block's indices are that table XOR its start, one
-XOR per block. The plan depends only on the run's gate masks and the
+XOR per block. Every submask of the bits that choose tables is the
+selection of some block start, so the plan enumerates its groups from
+those bits alone, never from the block starts, which number 2^17 at 26
+qubits. The plan depends only on the run's gate masks and the
 width, so a run is planned once and its plan reused while it stays in a
 small cache of the most recently used plans (:func:`_cached_plan`). The
 cache holds read-only index maps only, never amplitudes: every call
 gathers its own state.
 The indices are ``np.intp``, which ``np.take`` uses without converting.
 Every index is an XOR of offsets, block start and gate masks, so it is in
-range once every gate's qubits are: the kernel checks that on every call,
-before it looks up the plan, and the take then runs in ``mode="wrap"``,
+range once every gate's qubits are: :func:`run` computes every gate's
+masks once per call and checks them (:func:`_run_masks`) before it cuts
+the runs or looks up a plan, and the take then runs in ``mode="wrap"``,
 which writes straight into its ``out`` array (the default ``mode="raise"``
 gathers into a buffer and copies it) but would read a wrong amplitude,
 not raise, for an index out of range.
@@ -42,19 +46,28 @@ combined table takes above the block bits. Those bits depend only on the
 low controls of the gates that target a qubit above the block bits, so
 the plan reads each group's values at the few offsets that vary only
 those controls and keeps the distinct ``h``, all groups' in one flat
-array beside the selection of the group each belongs to. A call works
-from the source side in one vectorised step: it XORs every named block
-with every ``h``, keeps each candidate whose start selects that ``h``'s
-group, and takes the distinct survivors. An output block that can read
-no named block pulls back only zeros and is never gathered: a 25-qubit
-staging run gathers 44 of its 8 192 blocks, 180 224 amplitudes.
+array, each beside what the start of an input block must select to be
+read through it. A call works from the source side in one vectorised
+step: it pairs every named block ``s`` with every ``h`` whose selection
+the start of ``s`` matches, and marks each output block ``s ^ h`` in the
+per-block flags, so each block is gathered once. An output block that
+can read no named block pulls back only zeros and is never gathered: a
+25-qubit staging run from a basis state gathers 18 of its 65 536
+blocks, 9 216 amplitudes.
+
+Small blocks cost one Python step each if taken one by one, so the
+kernel takes several at once: the blocks to gather, sorted by group, are
+cut into chunks of up to 2^16 indices, each chunk is pulled back as an
+index array with one row per block (one XOR per group in it), and one
+``np.take`` gathers the whole chunk. A 25-qubit staging run from a basis
+state is one take.
 
 The kernel writes only the blocks that hold amplitude. Its output comes
 from ``np.zeros``, which numpy allocates with ``calloc``, so the pages
 of a large state are not backed by memory until they are written. The
-kernel gathers each block into a one-block scratch buffer, which stays
-in cache, and copies it into the output only if it holds a nonzero byte;
-the same test flags the block as occupied, so :func:`run` finds the
+kernel gathers each chunk into a scratch buffer and copies into the
+output only the rows that hold a nonzero byte, all of them in one step;
+the same test flags those blocks as occupied, so :func:`run` finds the
 measured basis state in the occupied blocks alone, with no second pass
 over the state. A run from a basis state occupies one block and writes
 only that one. The gather runs on the calling thread: at 2^12-index
@@ -73,7 +86,6 @@ import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -88,14 +100,17 @@ __all__ = ["DEFAULT_MAX_QUBITS", "StateVector", "init_state", "run"]
 # explicit override.
 DEFAULT_MAX_QUBITS = 26
 
-# Output indices per block of the fused gather: 2^12 indices (32 KiB as
-# 64-bit np.intp) stay in cache while a run's tables are XORed into them.
-# Small blocks follow a run's reach closely: a 25-qubit staging run from a
-# basis state gathers 44 blocks, 180 224 amplitudes, one Python iteration each.
-_BLOCK_BITS = 12
+# Output indices per block of the fused gather: 2^9. Small blocks follow a
+# run's reach closely: a 25-qubit staging run from a basis state gathers 18
+# blocks, 9 216 amplitudes.
+_BLOCK_BITS = 9
+
+# Blocks per np.take: 2^16 indices, 512 KiB as 64-bit np.intp, so a fully
+# occupied state costs one Python step per 128 blocks, not one per block.
+_TAKE_ROWS = 1 << 16 - _BLOCK_BITS
 
 # Plans kept between calls, keyed by a run's gate masks and width: each holds
-# index maps only (a 25-qubit staging run's plan is about 0.34 MiB), and at
+# index maps only (a 25-qubit staging run's plan is about 0.21 MiB), and at
 # most this many are kept, the least recently used going first.
 _PLANS_KEPT = 8
 
@@ -129,23 +144,25 @@ def _subcube(mask: int, value: int, block_bits: int) -> tuple:
     return tuple(value if mask >> bit & 1 else slice(None) for bit in reversed(range(block_bits)))
 
 
-def _static_runs(gates: Sequence[Gate]) -> list[list[Gate]]:
-    """Cut unitary ``gates``, in order, into maximal runs that :func:`_plan` can plan.
+def _static_runs(masks: Sequence[tuple[int, int]]) -> list[slice]:
+    """Cut gates, as their :func:`_run_masks`, into maximal runs that :func:`_plan` can plan.
 
-    The gates are walked last first: a gate whose control a gate of the
-    current run writes closes that run and becomes the last gate of the
-    run before it.
+    Returns each run's slice of ``masks``, in order. The masks are walked
+    last first: a gate whose controls a gate of the current run writes
+    closes that run and becomes the last gate of the run before it.
     """
-    runs: list[list[Gate]] = []
+    runs: list[slice] = []
+    stop = len(masks)
     written = 0  # targets of the current run's gates after the one at hand
-    for gate in reversed(gates):
-        control_mask, target_mask = _gate_masks(gate)
-        if not runs or control_mask & written:
-            runs.append([])
-            written = 0
-        runs[-1].append(gate)
+    for position in reversed(range(len(masks))):
+        control_mask, target_mask = masks[position]
+        if control_mask & written:
+            runs.append(slice(position + 1, stop))
+            stop, written = position + 1, 0
         written |= target_mask
-    return [cut[::-1] for cut in reversed(runs)]
+    if masks:
+        runs.append(slice(0, stop))
+    return runs[::-1]
 
 
 def _run_masks(gates: Sequence[Gate], num_qubits: int) -> tuple[tuple[int, int], ...]:
@@ -169,30 +186,36 @@ class _Plan(NamedTuple):
     base: np.ndarray  # the block offsets XOR the table of the gates with no high control
     tables: tuple[tuple[int, np.ndarray], ...]  # (high-control mask, table)
     selector: int  # the bits of a block's start that choose its tables
-    # every group's reach, flat: output block k reads input block k ^ reach[j]
-    # for each j whose selection[j] is what k's start selects
+    # every group's reach, flat, from the source side: input block s is read
+    # by output block s ^ reach[j] for each j whose source_selection[j] is
+    # what s's start selects
     reach: np.ndarray
-    selection: np.ndarray
+    source_selection: np.ndarray
 
 
 def _plan(masks: Sequence[tuple[int, int]], num_qubits: int) -> _Plan:
     """Plan the pull-back of a static run of gates on ``num_qubits`` qubits, block by block.
 
     ``masks`` are the run's gates as :func:`_run_masks` checks them. A
-    block is ``2^min(12, num_qubits)`` output indices. In a static run
-    (:func:`_static_runs`) each gate's flip depends only on the output
-    index, as ``(low controls set) << target`` within a block times
+    block is ``2^min(_BLOCK_BITS, num_qubits)`` output indices. In a
+    static run (:func:`_static_runs`) each gate's flip depends only on the
+    output index, as ``(low controls set) << target`` within a block times
     ``start & high == high`` for the block. Gates with the same
     high-control mask share one table, the XOR of their low-bit flips;
     each flip is XORed in place into the sub-cube of offsets whose low
     controls are set. The blocks whose starts select the same tables form
-    a group, and each group's reach is read from its tables at the probe
-    offsets: those whose bits are all among the low controls of the gates
-    with a target above the block bits. Every table's bits above the block
-    bits depend on those controls alone, so the entries at the probe take
-    every value above the block bits that the table takes at all. The
-    reaches of all groups are kept in one flat array, each offset beside
-    its group's selected bits.
+    a group. Every high control is below ``num_qubits``, so each submask
+    of the selector is some block start's selection: the groups are those
+    submasks (:func:`_submasks`). Each group's reach is read from its
+    tables at the probe offsets: those whose bits are all among the low
+    controls of the gates with a target above the block bits. Every
+    table's bits above the block bits depend on those controls alone, so
+    the entries at the probe take every value above the block bits that
+    the table takes at all. The groups are read in passes of up to 2^16
+    probed values, one row per group. The reaches of all groups are kept
+    in one flat array, each offset ``h`` of group ``g`` beside what the
+    start of the input block it reads selects, ``g`` XOR the selected bits
+    of ``h``'s block start.
     """
     block_bits = min(_BLOCK_BITS, num_qubits)
     cube = (2,) * block_bits  # one axis per bit of a block offset, highest bit first
@@ -215,22 +238,32 @@ def _plan(masks: Sequence[tuple[int, int]], num_qubits: int) -> _Plan:
     for high, table in tables.items():
         selector |= high
         _read_only(table)
-    selected = np.arange(1 << num_qubits - block_bits, dtype=np.intp) << block_bits & selector
-    reach, selection = [], []
-    for group in np.unique(selected).tolist():
-        values = base[probe]
+    groups = np.array(_submasks(selector), np.intp)
+    batch = (1 << 16) // probe.size  # groups per pass, one row of probed values each
+    reaches, owners = [], []  # each pass's reach offsets, and the group of each
+    for low in range(0, groups.size, batch):
+        chosen = groups[low : low + batch]
+        values = np.repeat(base[probe][None, :], chosen.size, axis=0)
         for high, table in tables.items():
-            if group & high == high:
-                values ^= table[probe]
-        reach.append(np.unique(values >> block_bits))
-        selection.append(np.full(reach[-1].size, group, np.intp))
-    return _Plan(
-        base,
-        tuple(tables.items()),
-        selector,
-        _read_only(np.concatenate(reach)),
-        _read_only(np.concatenate(selection)),
-    )
+            selects = (chosen & high == high)[:, None]
+            np.bitwise_xor(values, table[probe], out=values, where=selects)
+        values = np.sort(values >> block_bits, axis=1)
+        distinct = np.ones(values.shape, bool)
+        distinct[:, 1:] = values[:, 1:] != values[:, :-1]
+        reaches.append(values[distinct])
+        owners.append(np.repeat(chosen, distinct.sum(axis=1)))
+    reach = np.concatenate(reaches)
+    # output block k of group g reads block k ^ h, whose start selects g ^ (h's selected bits)
+    sourced = np.concatenate(owners) ^ (reach << block_bits & selector)
+    return _Plan(base, tuple(tables.items()), selector, _read_only(reach), _read_only(sourced))
+
+
+def _submasks(mask: int) -> list[int]:
+    """Every ``value`` with ``value & mask == value``, in ascending order."""
+    values = [0]
+    while values[-1] != mask:
+        values.append((values[-1] - mask) & mask)
+    return values
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -245,52 +278,65 @@ def _cached_plan(masks: tuple[tuple[int, int], ...], num_qubits: int) -> _Plan:
 
 
 def _apply_segment(
-    amps: np.ndarray, gates: Sequence[Gate], sources: Sequence[int]
+    amps: np.ndarray, masks: tuple[tuple[int, int], ...], sources: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply a static run of unitary gates as one gather, as the module docstring lays out.
 
-    ``sources`` numbers the input blocks of ``2^min(12, n)`` amplitudes that
+    ``masks`` are the run's gates as :func:`_run_masks` checks them against
+    the width of ``amps``: only then is every index below ``amps.size``,
+    which the unbuffered ``mode="wrap"`` take relies on. ``sources``
+    numbers the input blocks of ``2^min(_BLOCK_BITS, n)`` amplitudes that
     may hold a nonzero byte; every other block must hold only zero bytes.
     Returns a new output array and one flag per output block, set when the
     block holds a nonzero byte, for the next run's ``sources`` and
     :func:`_occupied_index`. X, CNOT and CCNOT are each their own inverse,
-    so output amplitude ``i`` is input amplitude ``g1(g2(...gk(i)))``: the
-    index is pulled back through the gates from last to first into
-    preallocated buffers. Only the output blocks whose pulled-back indices
-    can fall in a source block are gathered; every other block pulls back
-    only zeros and stays as ``np.zeros`` left it. :func:`_run_masks` raises
-    :class:`SimulationError` before any gather if a gate names a qubit
-    outside the state: only then is every index below ``amps.size``, which
-    the unbuffered ``mode="wrap"`` take relies on.
+    so output amplitude ``i`` is input amplitude ``g1(g2(...gk(i)))``.
+    Only the output blocks whose pulled-back indices can fall in a source
+    block are gathered, sorted by group and :data:`_TAKE_ROWS` at a time,
+    each block a row of one index array; every other block pulls back only
+    zeros and stays as ``np.zeros`` left it.
     """
     num_qubits = amps.size.bit_length() - 1
-    base, tables, selector, reach, selection = _cached_plan(
-        _run_masks(gates, num_qubits), num_qubits
-    )
+    base, tables, selector, reach, source_selection = _cached_plan(masks, num_qubits)
     block = base.size
     blocks = amps.size // block
     out = np.zeros(amps.shape, amps.dtype)  # not zeros_like, which writes every page
+    rows = out.reshape(blocks, block)
     occupied = np.zeros(blocks, dtype=bool)
-    # source block s is read by output block s ^ h for each h in the reach
-    # of that block's group, the group its start selects
-    reached = np.asarray(sources, np.intp)[:, None] ^ reach
-    work = np.unique(reached[reached * block & selector == selection])
+    # source block s is read by output block s ^ h for each h whose source
+    # selection s's start selects; the blocks to gather are marked here, and
+    # their gather overwrites each mark
+    named = np.asarray(sources, np.intp)
+    reads = (named * block & selector)[:, None] == source_selection
+    occupied[(named[:, None] ^ reach)[reads]] = True
+    work = np.flatnonzero(occupied)
     # grouped by the tables their starts select, so each combined table is built once
-    work = work[np.argsort(work * block & selector, kind="stable")].tolist()
-    index, combined = np.empty(block, np.intp), np.empty(block, np.intp)
-    scratch = np.empty(block, amps.dtype)
-    for group, members in groupby(work, key=lambda k: k * block & selector):
-        source = base
-        for high, table in tables:
-            if group & high == high:
-                source = np.bitwise_xor(source, table, out=combined)
-        for k in members:
-            start = k * block
-            np.bitwise_xor(source, start, out=index)
-            np.take(amps, index, out=scratch, mode="wrap")
-            occupied[k] = scratch.view(np.uint8).max() > 0
-            if occupied[k]:
-                out[start : start + block] = scratch
+    groups = work * block & selector
+    order = np.argsort(groups, kind="stable")
+    work, groups = work[order], groups[order]
+    index = np.empty((min(work.size, _TAKE_ROWS), block), np.intp)
+    scratch = np.empty(index.shape, amps.dtype)
+    combined = np.empty(block, np.intp)
+    for low in range(0, work.size, _TAKE_ROWS):
+        members = work[low : low + _TAKE_ROWS]
+        selected = groups[low : low + _TAKE_ROWS]
+        starts = members[:, None] * block
+        bounds = [0, *(np.flatnonzero(selected[1:] != selected[:-1]) + 1).tolist(), members.size]
+        for first, last in zip(bounds, bounds[1:]):
+            group = int(selected[first])
+            source = base
+            for high, table in tables:
+                if group & high == high:
+                    source = np.bitwise_xor(source, table, out=combined)
+            np.bitwise_xor(source, starts[first:last], out=index[first:last])
+        taken = scratch[: members.size]
+        np.take(amps, index[: members.size], out=taken, mode="wrap")
+        flags = taken.view(np.uint8).max(axis=1) > 0  # a nonzero byte in the row
+        occupied[members] = flags
+        if flags.all():  # a full chunk is copied without a temporary
+            rows[members] = taken
+        else:  # only occupied blocks back output pages
+            rows[members[flags]] = taken[flags]
     return out, occupied
 
 
@@ -389,18 +435,22 @@ def run(
 
     :class:`Circuit` lets no gate read or write a qubit after it is
     measured, so a measured qubit ends the circuit holding the bit it was
-    measured with. The unitary gates are therefore gathered static run by
-    static run, and every measurement reads the one basis index located
-    after the last (``initial`` when there is no unitary gate, and no
-    gather). A circuit with no measurement locates nothing. Only this loop
-    holds each state, so at most two are alive at once.
+    measured with. The unitary gates' masks are computed and checked once
+    (:func:`_run_masks`), then cut into static runs, each run's slice of
+    the masks keying its plan. The runs are gathered one after the other,
+    and every measurement reads the one basis index located after the last
+    (``initial`` when there is no unitary gate, and no gather). A circuit
+    with no measurement locates nothing. Only this loop holds each state,
+    so at most two are alive at once.
     """
     amplitudes = init_state(circuit.num_qubits, initial, max_qubits).amplitudes
     measures = [gate for gate in circuit.gates if type(gate) is Measure]
-    unitary = [gate for gate in circuit.gates if type(gate) is not Measure]
+    masks = _run_masks(
+        [gate for gate in circuit.gates if type(gate) is not Measure], circuit.num_qubits
+    )
     sources, occupied = [initial >> _BLOCK_BITS], None
-    for gates in _static_runs(unitary):
-        amplitudes, occupied = _apply_segment(amplitudes, gates, sources)
+    for cut in _static_runs(masks):
+        amplitudes, occupied = _apply_segment(amplitudes, masks[cut], sources)
         sources = np.flatnonzero(occupied)
     located = initial
     if measures and occupied is not None:

@@ -86,7 +86,8 @@ def gather_every_block(amplitudes: np.ndarray, gates) -> tuple:
     """
     from qrbs import dense
 
-    return dense._apply_segment(amplitudes, gates, every_block(amplitudes))
+    masks = dense._run_masks(gates, amplitudes.size.bit_length() - 1)
+    return dense._apply_segment(amplitudes, masks, every_block(amplitudes))
 
 
 def norm_sq(state) -> float:

@@ -423,7 +423,9 @@ class TestFusedSegmentKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 7))
-    # at 12 block bits, CCNOT(3, 10, 12): pairs across two blocks
+    # at 9 block bits, CCNOT(5, 2, 9): pairs across two blocks
+    @example(seed=35, num_qubits=BLOCK_BITS + 1)
+    # at 9 block bits, CCNOT(3, 9, 6): the two blocks take different tables
     @example(seed=26, num_qubits=BLOCK_BITS + 1)
     @example(seed=4, num_qubits=BLOCK_BITS + 2)  # four blocks
     @example(seed=4, num_qubits=BLOCK_BITS)
@@ -535,7 +537,7 @@ class TestMeasuredRuns:
         kinds = [isinstance(gate, Measure) for gate in circuit.gates]
         assert kinds.count(True) > 1 and (True, False) in zip(kinds, kinds[1:])
         unitary = [gate for gate in circuit.gates if not isinstance(gate, Measure)]
-        runs = len(dense_module._static_runs(unitary))
+        runs = len(static_runs(unitary))
         assert runs > 1
         assert run(circuit, 5, "statevector").bits == run(circuit, 5, "fast").bits
         assert calls == {"_apply_segment": runs, "_occupied_index": 1}
@@ -547,6 +549,12 @@ class TestMeasuredRuns:
         unmeasured = Circuit(3).append(X(0)).append(CNOT(0, 2))
         assert run(unmeasured, 0, "statevector").final_state.basis_index() == 0b101
         assert calls == {"_apply_segment": 1, "_occupied_index": 0}
+
+
+def static_runs(gates: list) -> list:
+    """``dense._static_runs`` on the masks of ``gates``, each run as its list of gates."""
+    masks = tuple(map(dense_module._gate_masks, gates))
+    return [gates[cut] for cut in dense_module._static_runs(masks)]
 
 
 def dependency_ordered_gates(rng: random.Random, num_qubits: int, num_gates: int) -> list:
@@ -598,10 +606,16 @@ def gather_runs(values: np.ndarray, gates, sources) -> tuple:
     when there is no gate).
     """
     occupied = None
-    for gates_of_run in dense_module._static_runs(gates):
-        values, occupied = _apply_segment(values, gates_of_run, sources)
+    masks = dense_module._run_masks(gates, values.size.bit_length() - 1)
+    for cut in dense_module._static_runs(masks):
+        values, occupied = _apply_segment(values, masks[cut], sources)
         sources = np.flatnonzero(occupied)
     return values, occupied
+
+
+def reach_groups(plan) -> np.ndarray:
+    """The group (output-block selection) of each entry of ``plan.reach``."""
+    return plan.source_selection ^ (plan.reach * plan.base.size & plan.selector)
 
 
 def planned(gates, num_qubits: int):
@@ -625,7 +639,7 @@ class TestPlannedPullBack:
     @example(seed=2, num_qubits=17, num_gates=40)
     def test_dependency_ordered_runs_are_all_tables(self, seed, num_qubits, num_gates):
         gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
-        assert dense_module._static_runs(gates) == [gates]
+        assert static_runs(gates) == [gates]
         tables = planned(gates, num_qubits).tables
         assert len(tables) <= len(high_control_masks(gates))
         assert_gathers_like_the_oracle(num_qubits, gates)
@@ -635,7 +649,7 @@ class TestPlannedPullBack:
         swap = [CNOT(4, b), CNOT(b, 4), CNOT(4, b)]
         tail = [CNOT(0, a), CNOT(b, a), CCNOT(0, b, a), CNOT(a, c), CNOT(4, c), CCNOT(a, 4, c)]
         gates = swap + tail
-        runs = dense_module._static_runs(gates)
+        runs = static_runs(gates)
         # the swap's first two CNOTs each read a qubit that the next gate writes
         assert [len(gates_of_run) for gates_of_run in runs] == [1, 1, 7]
         assert runs[2] == gates[2:]
@@ -646,7 +660,7 @@ class TestPlannedPullBack:
     def test_run_that_turns_non_static_at_once(self):
         a, b = BLOCK_BITS, BLOCK_BITS + 1
         gates = [CCNOT(2, a, b), CNOT(b, 2), CNOT(2, a), CCNOT(a, b, 3), X(b)]
-        runs = dense_module._static_runs(gates)
+        runs = static_runs(gates)
         assert runs == [gates[:1], gates[1:4], gates[4:]]
         plan = planned(runs[-1], b + 1)
         assert plan.tables == ()
@@ -663,6 +677,13 @@ class TestPlannedPullBack:
             (18, CCNOT(BLOCK_BITS, 3, BLOCK_BITS + 1)),
             (18, CCNOT(BLOCK_BITS, BLOCK_BITS + 1, 0)),
             (18, CCNOT(1, BLOCK_BITS - 1, BLOCK_BITS + 1)),
+            # widths 11 to 13: several blocks, the gates' qubits 10 to 12 above the block bits
+            (11, CCNOT(10, 0, 1)),
+            (12, CNOT(11, 0)),
+            (12, X(11)),
+            (13, X(12)),
+            (13, CCNOT(12, 11, 0)),
+            (13, CNOT(11, 12)),
             # narrower than one block, exactly one block, and two blocks
             (BLOCK_BITS - 1, CCNOT(BLOCK_BITS - 2, 0, 1)),
             (BLOCK_BITS, CNOT(BLOCK_BITS - 1, 0)),
@@ -690,12 +711,12 @@ class TestPlannedPullBack:
             ]
             assert runs
             for gates in runs:
-                assert len(dense_module._static_runs(gates)) == 1
+                assert len(static_runs(gates)) == 1
         assert circuit.num_qubits == 25
 
     def test_tables_are_bounded_by_the_high_control_masks(self):
         gates = [CNOT(5, 17), CNOT(17, 5)] * 1000
-        runs = dense_module._static_runs(gates)
+        runs = static_runs(gates)
         assert runs == [[gate] for gate in gates]  # each gate reads the one before's target
         assert len(high_control_masks(gates)) == 1
         for gates_of_run in runs[:2]:
@@ -724,15 +745,74 @@ class TestPlannedPullBack:
         if swap_head:  # swap a low and a high qubit first: its first two CNOTs are runs
             low, high = rng.randrange(BLOCK_BITS), rng.randrange(BLOCK_BITS, num_qubits)
             gates = [CNOT(low, high), CNOT(high, low), CNOT(low, high)] + gates
-        runs = dense_module._static_runs(gates)
+        runs = static_runs(gates)
         tables = planned(runs[-1], num_qubits).tables
         assert len(high_control_masks(gates)) >= len(tables) >= 2 * len(highs) - 1
         assert (len(runs) >= 3) == swap_head
         assert_gathers_like_the_oracle(num_qubits, gates)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("num_qubits", range(BLOCK_BITS - 1, BLOCK_BITS + 7))
+    def test_groups_and_reach_match_every_block_start(self, num_qubits, seed):
+        rng = random.Random(seed)
+        gates = dependency_ordered_gates(rng, num_qubits, 24)
+        if num_qubits >= BLOCK_BITS + 2:  # a gate with two controls above the block bits
+            highs = rng.sample(range(BLOCK_BITS, num_qubits), 2)
+            controls = {qubit for gate in gates for qubit in gate_qubits(gate)[:-1]}
+            free = [qubit for qubit in range(num_qubits) if qubit not in controls | set(highs)]
+            gates.append(CCNOT(*highs, free[0]))
+        assert static_runs(gates) in ([gates], [])
+        plan = planned(gates, num_qubits)
+        block_bits = min(BLOCK_BITS, num_qubits)
+        # the reference: every block start, and the input blocks that the
+        # oracle's pulled-back indices of its block fall in
+        permutation = as_permutation(Circuit(num_qubits).extend(gates), max_qubits=num_qubits)
+        pulled_back = np.empty_like(permutation)
+        pulled_back[permutation] = np.arange(permutation.size)
+        reference: dict[int, list] = {}
+        for k, indices in enumerate(pulled_back.reshape(-1, 1 << block_bits)):
+            reach = np.unique(indices >> block_bits ^ k).tolist()
+            assert reference.setdefault(k << block_bits & plan.selector, reach) == reach
+        groups = sorted(reference)
+        assert dense_module._submasks(plan.selector) == groups
+        assert np.array_equal(plan.reach, [h for group in groups for h in reference[group]])
+        expected = [group for group in groups for _ in reference[group]]
+        assert np.array_equal(reach_groups(plan), expected)
+
+    def test_a_26_qubit_plan_builds_only_the_selected_groups(self, monkeypatch):
+        gates = [
+            CCNOT(20, 25, 3),
+            CNOT(12, 4),
+            CCNOT(1, 18, 22),
+            CNOT(5, 24),
+            CCNOT(10, 11, 7),
+            X(17),
+            CNOT(2, 9),
+        ]
+        assert static_runs(gates) == [gates]
+        aranges = []
+        arange = np.arange
+
+        def counted(*args, **kwargs):
+            aranges.append(arange(*args, **kwargs).size)
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", counted)
+        plan = planned(gates, 26)
+        monkeypatch.setattr(np, "arange", arange)
+        bits = bin(plan.selector).count("1")
+        assert plan.selector == sum(1 << qubit for qubit in (10, 11, 12, 18, 20, 25))
+        assert len(dense_module._submasks(plan.selector)) == 1 << bits
+        assert np.unique(reach_groups(plan)).size <= 1 << bits
+        assert aranges and max(aranges) < 1 << 26 - BLOCK_BITS  # never every block start
+
 
 def counted_takes(monkeypatch) -> list:
-    """Record the index array of every ``np.take`` from here on."""
+    """Record the index array of every ``np.take`` from here on.
+
+    The kernel takes several blocks at once: each row of an index array is
+    the pulled-back indices of one output block.
+    """
     indices = []
     take = np.take
 
@@ -755,8 +835,8 @@ class TestReach:
         st.booleans(),
         st.integers(1, 3),
     )
-    # at 12 block bits, head CNOT(6, 12), CNOT(12, 6) alone: only the first run,
-    # CNOT(6, 12), flips qubit 12
+    # at 9 block bits, head CNOT(6, 9), CNOT(9, 6) alone: only the first run,
+    # CNOT(6, 9), flips qubit 9
     @example(seed=0, num_qubits=BLOCK_BITS + 1, num_gates=0, swap_head=True, held=1)
     @example(seed=7, num_qubits=20, num_gates=30, swap_head=True, held=2)
     @example(seed=10, num_qubits=17, num_gates=30, swap_head=False, held=1)
@@ -801,7 +881,7 @@ class TestReach:
     @example(seed=5, num_qubits=BLOCK_BITS, num_gates=30, held=[0])
     def test_gathered_blocks_match_a_brute_force_scan(self, seed, num_qubits, num_gates, held):
         gates = dependency_ordered_gates(random.Random(seed), num_qubits, num_gates)
-        assert dense_module._static_runs(gates) in ([gates], [])
+        assert static_runs(gates) in ([gates], [])
         plan = planned(gates, num_qubits)
         block = 1 << min(BLOCK_BITS, num_qubits)
         blocks = (1 << num_qubits) // block
@@ -809,8 +889,8 @@ class TestReach:
         # output block k reads input block k ^ h for each h in the reach of its
         # group, the group whose selection k's start matches
         reach = {}
-        for h, selection in zip(plan.reach.tolist(), plan.selection.tolist()):
-            reach.setdefault(selection, []).append(h)
+        for h, group in zip(plan.reach.tolist(), reach_groups(plan).tolist()):
+            reach.setdefault(group, []).append(h)
         expected = {
             k
             for k in range(blocks)
@@ -822,12 +902,13 @@ class TestReach:
         values = np.zeros(1 << num_qubits, np.complex64)
         with pytest.MonkeyPatch.context() as patch:
             indices = counted_takes(patch)
-            _apply_segment(values, gates, sorted(sources))
-        gathered = [int(permutation[index[0]]) // block for index in indices]
+            _apply_segment(values, dense_module._run_masks(gates, num_qubits), sorted(sources))
+        gathered = [int(permutation[row[0]]) // block for index in indices for row in index]
+        assert all(index.shape[1] == block for index in indices)
         assert len(gathered) == len(set(gathered))  # no block is gathered twice
         assert set(gathered) == expected
 
-    def test_each_staging_run_gathers_under_2_18_amplitudes(self):
+    def test_each_staging_run_gathers_under_2_14_amplitudes(self):
         unshared = CompileOptions(share_subexpressions=False, ancilla_budget=10)
         for compiled in (build_idc_circuit(), build_idc_circuit(unshared)):
             assert compiled.circuit.num_qubits in (24, 25)
@@ -836,7 +917,8 @@ class TestReach:
                 with pytest.MonkeyPatch.context() as patch:
                     indices = counted_takes(patch)
                     stages, result = run_activation(one_hot, "statevector", compiled)
-                assert 0 < sum(index.size for index in indices) < 1 << 18
+                assert all(index.shape[1] == 1 << BLOCK_BITS for index in indices)
+                assert 0 < sum(index.size for index in indices) < 1 << 14
                 fast_stages, fast = run_activation(one_hot, "fast", compiled)
                 assert stages == fast_stages and result.bits == fast.bits
 
@@ -852,8 +934,9 @@ class TestPlanCache:
         gates = dependency_ordered_gates(random.Random(23), 19, 30)
         masks = dense_module._run_masks(gates, 19)
         plan = dense_module._cached_plan(masks, 19)
-        assert plan.tables and np.unique(plan.selection).size > 1
-        arrays = [plan.base, *(table for _, table in plan.tables), plan.reach, plan.selection]
+        assert plan.tables and np.unique(plan.source_selection).size > 1
+        arrays = [plan.base, *(table for _, table in plan.tables)]
+        arrays += [plan.reach, plan.source_selection]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -862,26 +945,35 @@ class TestPlanCache:
         assert dense_module._cached_plan(masks, 19) is plan
 
     def test_a_run_after_a_failed_gather_is_exact(self, monkeypatch):
-        circuit = build_idc_circuit().circuit
+        staging = build_idc_circuit().circuit
+        unitary = [gate for gate in staging.gates if not isinstance(gate, Measure)]
+        measures = [gate for gate in staging.gates if isinstance(gate, Measure)]
+        # the staging gates twice over: several static runs, each of which
+        # takes its reached blocks from a one-hot input in a single np.take
+        circuit = Circuit(staging.num_qubits, staging.num_clbits).extend(unitary * 2 + measures)
+        runs = len(static_runs(unitary * 2))
+        assert 2 <= runs <= dense_module._PLANS_KEPT
         initial = 1 << 3  # the input qubits are 0 to 14
         fast = run(circuit, initial, "fast")
-        assert run(circuit, initial, "statevector").bits == fast.bits  # the plan is cached
+        assert run(circuit, initial, "statevector").bits == fast.bits  # the plans are cached
         take = np.take
-        takes = []
+        takes, raised = [], []
 
         def failing(*args, **kwargs):
             takes.append(1)
-            if len(takes) > 5:
+            if len(takes) == 2:  # after the first run's gather, in the middle of run()
+                raised.append(len(takes))
                 raise MemoryError("gather failed")
             return take(*args, **kwargs)
 
         monkeypatch.setattr(np, "take", failing)
         with pytest.raises(MemoryError, match="gather failed"):
             run(circuit, initial, "statevector")
+        assert raised == [2]
         monkeypatch.setattr(np, "take", take)
         hits = dense_module._cached_plan.cache_info().hits
         dense = run(circuit, initial, "statevector")
-        assert dense_module._cached_plan.cache_info().hits == hits + 1
+        assert dense_module._cached_plan.cache_info().hits == hits + runs
         assert results_agree(fast, dense)
 
     def test_the_reference_table_plans_once(self, monkeypatch, width25):
@@ -1042,7 +1134,7 @@ class TestFreshOutput:
         # gathers run one after the other; each input is dropped once its
         # output is gathered, the initial state included
         gates = [CNOT(4, 17), CNOT(17, 4), CNOT(4, 17), X(19), CNOT(19, 3)]
-        assert len(dense_module._static_runs(gates)) == 3
+        assert len(static_runs(gates)) == 3
         circuit = Circuit(20, 1).extend(gates).append(Measure(3, 0))
         initial = 1 << 4 | 1 << 18
         expected = run(circuit, initial, "fast")
