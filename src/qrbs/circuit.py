@@ -4,8 +4,9 @@ The gate set is {X, CNOT, CCNOT} plus terminal measurement, so every
 circuit acts as a permutation of computational basis states, which the
 tests check against a brute-force permutation table of their own.
 Circuits export to an OpenQASM 2.0 subset and import back losslessly.
-Gates enter a :class:`Circuit` only through its checks, so the engines
-run them unchecked.
+The gates are plain frozen records that check nothing: a gate enters a
+:class:`Circuit` only through :meth:`Circuit.append`, the one place that
+checks gates, so the engines run them unchecked.
 
 Qubit ``k`` corresponds to bit ``k`` of a basis index (q0 is least
 significant); classical bits follow the same convention.
@@ -13,7 +14,6 @@ significant); classical bits follow the same convention.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -38,21 +38,11 @@ __all__ = [
 class X:
     target: int
 
-    def __post_init__(self) -> None:
-        if self.target < 0:
-            raise CircuitError("negative qubit index")
-
 
 @dataclass(frozen=True)
 class CNOT:
     control: int
     target: int
-
-    def __post_init__(self) -> None:
-        if self.control < 0 or self.target < 0:
-            raise CircuitError("negative qubit index")
-        if self.control == self.target:
-            raise CircuitError(f"control equals target (qubit {self.target})")
 
 
 @dataclass(frozen=True)
@@ -61,23 +51,11 @@ class CCNOT:
     control2: int
     target: int
 
-    def __post_init__(self) -> None:
-        control1, control2, target = self.control1, self.control2, self.target
-        if control1 < 0 or control2 < 0 or target < 0:
-            raise CircuitError("negative qubit index")
-        if control1 == control2 or control1 == target or control2 == target:
-            qubits = (control1, control2, target)
-            raise CircuitError(f"controls and target must be pairwise distinct, got {qubits}")
-
 
 @dataclass(frozen=True)
 class Measure:
     qubit: int
     clbit: int
-
-    def __post_init__(self) -> None:
-        if self.qubit < 0 or self.clbit < 0:
-            raise CircuitError("negative index")
 
 
 Gate = X | CNOT | CCNOT | Measure
@@ -97,25 +75,24 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
 
 
 def _check_index(index: object, what: str) -> None:
-    """Refuse an index that is not an integer: a ``bool``, or what ``operator.index`` rejects."""
-    if isinstance(index, bool):
-        raise CircuitError(f"{what} index {index!r} is not an integer")
-    try:
-        operator.index(index)
-    except TypeError:
-        raise CircuitError(f"{what} index {index!r} is not an integer") from None
+    """Refuse a ``what`` that is not an integer: a ``bool``, or a value with no ``__index__``."""
+    if isinstance(index, bool) or not hasattr(type(index), "__index__"):
+        raise CircuitError(f"{what} {index!r} is not an integer")
 
 
 class Circuit:
     """Ordered gate list over ``num_qubits`` qubits and ``num_clbits`` classical bits.
 
-    Structural invariants enforced on :meth:`append`: only gates, integer
-    indices (``bool`` excluded) in range, no unitary gate touching a qubit
-    after it was measured, and each classical bit written by at most one
-    measurement. The registers and :attr:`gates` are read-only, so
-    :meth:`append` and :meth:`extend` are the only way in and every engine
-    runs the gates unchecked. Labels are metadata only and never affect
-    behaviour.
+    :meth:`append` is the one check on a gate; the gates themselves are
+    plain records. It admits only gates whose indices are integers
+    (``bool`` excluded) in range, which also refuses a negative index, and
+    whose qubits are distinct: a CNOT's control differs from its target
+    and a CCNOT's three qubits from one another. It admits no unitary gate
+    on a qubit after it was measured, and each classical bit is written by
+    at most one measurement. The registers and :attr:`gates` are
+    read-only, so :meth:`append` and :meth:`extend` are the only way in and
+    every engine runs the gates unchecked. Labels are metadata only and
+    never affect behaviour.
     """
 
     def __init__(
@@ -125,6 +102,8 @@ class Circuit:
         qubit_labels: Mapping[int, str] | None = None,
         clbit_labels: Mapping[int, str] | None = None,
     ):
+        _check_index(num_qubits, "qubit register size")
+        _check_index(num_clbits, "classical register size")
         if num_qubits < 0 or num_clbits < 0:
             raise CircuitError("register sizes must be non-negative")
         self._num_qubits = num_qubits
@@ -151,15 +130,16 @@ class Circuit:
         qubits = gate_qubits(gate)
         for qubit in qubits:
             if type(qubit) is not int:
-                _check_index(qubit, "qubit")
-            if qubit >= self.num_qubits:
+                _check_index(qubit, "qubit index")
+            if not 0 <= qubit < self._num_qubits:
                 raise CircuitError(
                     f"qubit {qubit} out of range for a {self.num_qubits}-qubit circuit"
                 )
-        if type(gate) is Measure:
+        kind = type(gate)
+        if kind is Measure:
             if type(gate.clbit) is not int:
-                _check_index(gate.clbit, "classical bit")
-            if gate.clbit >= self.num_clbits:
+                _check_index(gate.clbit, "classical bit index")
+            if not 0 <= gate.clbit < self._num_clbits:
                 raise CircuitError(
                     f"classical bit {gate.clbit} out of range "
                     f"({self.num_clbits} classical bits)"
@@ -168,9 +148,14 @@ class Circuit:
                 raise CircuitError(f"classical bit {gate.clbit} already written")
             self._written_clbits.add(gate.clbit)
             self._measured.add(gate.qubit)
-        elif not self._measured.isdisjoint(qubits):
-            touched = self._measured.intersection(qubits)
-            raise CircuitError(f"unitary gate on qubit {min(touched)} after it was measured")
+        else:
+            if kind is not X and len(set(qubits)) < len(qubits):
+                if kind is CNOT:
+                    raise CircuitError(f"control equals target (qubit {gate.target})")
+                raise CircuitError(f"controls and target must be pairwise distinct, got {qubits}")
+            if self._measured and not self._measured.isdisjoint(qubits):
+                touched = self._measured.intersection(qubits)
+                raise CircuitError(f"unitary gate on qubit {min(touched)} after it was measured")
         self._gates.append(gate)
         return self
 

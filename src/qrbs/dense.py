@@ -30,12 +30,12 @@ cache holds read-only index maps only, never amplitudes: every call
 gathers its own state.
 The indices are ``np.intp``, which ``np.take`` uses without converting.
 Every index is an XOR of offsets, block start and gate masks, so it is in
-range once every gate's qubits are: :func:`run` computes every gate's
-masks once per call and checks them (:func:`_run_masks`) before it cuts
-the runs or looks up a plan, and the take then runs in ``mode="wrap"``,
-which writes straight into its ``out`` array (the default ``mode="raise"``
-gathers into a buffer and copies it) but would read a wrong amplitude,
-not raise, for an index out of range.
+range because every gate's qubits are: :meth:`Circuit.append` admitted
+each gate of the circuit with integer qubits in range, and :func:`run`,
+the only way in, computes every gate's masks once per call without
+checking them again. The take therefore runs in ``mode="wrap"``, which
+writes straight into its ``out`` array (the default ``mode="raise"``
+gathers into a buffer and copies it).
 
 The kernel gathers only the output blocks that can hold amplitude. Its
 caller names the input blocks that may hold a nonzero byte: :func:`run`
@@ -115,24 +115,15 @@ _TAKE_ROWS = 1 << 16 - _BLOCK_BITS
 _PLANS_KEPT = 8
 
 
-def _bit(qubit: int) -> int:
-    if isinstance(qubit, bool):  # an int to <<, but Circuit refuses it
-        raise TypeError(qubit)
-    return 1 << qubit
-
-
 def _gate_masks(gate: Gate) -> tuple[int, int]:
-    try:
-        match gate:
-            case X(target):
-                return 0, _bit(target)
-            case CNOT(control, target):
-                return _bit(control), _bit(target)
-            case CCNOT(control1, control2, target):
-                return _bit(control1) | _bit(control2), _bit(target)
-    except TypeError:  # a float qubit index (1 << 1.0), which Circuit refuses too
-        raise SimulationError(f"gate {gate!r} has a non-integer qubit index") from None
-    raise SimulationError(f"not a unitary gate: {gate!r}")
+    """A unitary gate's ``(control_mask, target_mask)``, the key its run is planned by."""
+    match gate:
+        case X(target):
+            return 0, 1 << target
+        case CNOT(control, target):
+            return 1 << control, 1 << target
+        case CCNOT(control1, control2, target):
+            return 1 << control1 | 1 << control2, 1 << target
 
 
 def _subcube(mask: int, value: int, block_bits: int) -> tuple:
@@ -145,7 +136,7 @@ def _subcube(mask: int, value: int, block_bits: int) -> tuple:
 
 
 def _static_runs(masks: Sequence[tuple[int, int]]) -> list[slice]:
-    """Cut gates, as their :func:`_run_masks`, into maximal runs that :func:`_plan` can plan.
+    """Cut gates, given as their :func:`_gate_masks`, into maximal runs that :func:`_plan` plans.
 
     Returns each run's slice of ``masks``, in order. The masks are walked
     last first: a gate whose controls a gate of the current run writes
@@ -165,21 +156,6 @@ def _static_runs(masks: Sequence[tuple[int, int]]) -> list[slice]:
     return runs[::-1]
 
 
-def _run_masks(gates: Sequence[Gate], num_qubits: int) -> tuple[tuple[int, int], ...]:
-    """Each gate's ``(control_mask, target_mask)``, checked against ``num_qubits`` qubits.
-
-    A gate that is not unitary, has a non-integer qubit index or names a
-    qubit at or above ``num_qubits`` raises :class:`SimulationError`. The
-    masks, not the gates, key the plan cache: ``X(True)`` and ``X(1.0)``
-    equal ``X(1)`` as dataclasses, and are refused here on every call.
-    """
-    masks = tuple(map(_gate_masks, gates))
-    for gate, (control_mask, target_mask) in zip(gates, masks):
-        if (control_mask | target_mask) >> num_qubits:
-            raise SimulationError(f"gate {gate!r} out of range for {num_qubits} qubits")
-    return masks
-
-
 class _Plan(NamedTuple):
     """The index maps of a static run's gather; every array is read-only."""
 
@@ -196,10 +172,10 @@ class _Plan(NamedTuple):
 def _plan(masks: Sequence[tuple[int, int]], num_qubits: int) -> _Plan:
     """Plan the pull-back of a static run of gates on ``num_qubits`` qubits, block by block.
 
-    ``masks`` are the run's gates as :func:`_run_masks` checks them. A
-    block is ``2^min(_BLOCK_BITS, num_qubits)`` output indices. In a
-    static run (:func:`_static_runs`) each gate's flip depends only on the
-    output index, as ``(low controls set) << target`` within a block times
+    ``masks`` are the :func:`_gate_masks` of the run's gates. A block is
+    ``2^min(_BLOCK_BITS, num_qubits)`` output indices. In a static run
+    (:func:`_static_runs`) each gate's flip depends only on the output
+    index, as ``(low controls set) << target`` within a block times
     ``start & high == high`` for the block. Gates with the same
     high-control mask share one table, the XOR of their low-bit flips;
     each flip is XORed in place into the sub-cube of offsets whose low
@@ -282,13 +258,14 @@ def _apply_segment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply a static run of unitary gates as one gather, as the module docstring lays out.
 
-    ``masks`` are the run's gates as :func:`_run_masks` checks them against
-    the width of ``amps``: only then is every index below ``amps.size``,
-    which the unbuffered ``mode="wrap"`` take relies on. ``sources``
-    numbers the input blocks of ``2^min(_BLOCK_BITS, n)`` amplitudes that
-    may hold a nonzero byte; every other block must hold only zero bytes.
-    Returns a new output array and one flag per output block, set when the
-    block holds a nonzero byte, for the next run's ``sources`` and
+    ``masks`` are the :func:`_gate_masks` of the run's gates, which
+    :class:`Circuit` admitted at the width of ``amps``: only then is every
+    index below ``amps.size``, which the unbuffered ``mode="wrap"`` take
+    relies on. ``sources`` numbers the input blocks of
+    ``2^min(_BLOCK_BITS, n)`` amplitudes that may hold a nonzero byte;
+    every other block must hold only zero bytes. Returns a new output
+    array and one flag per output block, set when the block holds a
+    nonzero byte, for the next run's ``sources`` and
     :func:`_occupied_index`. X, CNOT and CCNOT are each their own inverse,
     so output amplitude ``i`` is input amplitude ``g1(g2(...gk(i)))``.
     Only the output blocks whose pulled-back indices can fall in a source
@@ -435,8 +412,8 @@ def run(
 
     :class:`Circuit` lets no gate read or write a qubit after it is
     measured, so a measured qubit ends the circuit holding the bit it was
-    measured with. The unitary gates' masks are computed and checked once
-    (:func:`_run_masks`), then cut into static runs, each run's slice of
+    measured with. The unitary gates' masks are computed once
+    (:func:`_gate_masks`), then cut into static runs, each run's slice of
     the masks keying its plan. The runs are gathered one after the other,
     and every measurement reads the one basis index located after the last
     (``initial`` when there is no unitary gate, and no gather). A circuit
@@ -445,9 +422,7 @@ def run(
     """
     amplitudes = init_state(circuit.num_qubits, initial, max_qubits).amplitudes
     measures = [gate for gate in circuit.gates if type(gate) is Measure]
-    masks = _run_masks(
-        [gate for gate in circuit.gates if type(gate) is not Measure], circuit.num_qubits
-    )
+    masks = tuple(_gate_masks(gate) for gate in circuit.gates if type(gate) is not Measure)
     sources, occupied = [initial >> _BLOCK_BITS], None
     for cut in _static_runs(masks):
         amplitudes, occupied = _apply_segment(amplitudes, masks[cut], sources)

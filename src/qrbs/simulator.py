@@ -12,12 +12,11 @@ significant); :attr:`RunResult.bitstring` prints classical bits most
 significant first (c-high to c-low), matching the index convention.
 
 The fast engine is one loop, :func:`_run_basis`: it dispatches on each
-gate's exact type and flips the index with shifts and masks. It checks
-no gate, as :class:`Circuit` admits only gates inside its registers. The
-dense engine checks each gate's masks against the width on every run,
-because its unbuffered take would read a wrong amplitude, not raise, for
-an index out of range. The fast engine shares no per-gate code with the
-dense engine, so each engine is an independent oracle for the other.
+gate's exact type and flips the index with shifts and masks. Neither
+engine checks a gate: :meth:`Circuit.append` is the one check, and it
+admits only gates whose qubits are distinct integers inside the
+registers. The fast engine shares no per-gate code with the dense
+engine, so each engine is an independent oracle for the other.
 
 The fast engine needs no third-party package. :func:`run` loads
 :mod:`qrbs.dense`, where the dense engine's public names live, on the

@@ -81,12 +81,15 @@ def every_block(amplitudes: np.ndarray) -> range:
 def gather_every_block(amplitudes: np.ndarray, gates) -> tuple:
     """One gather of a static run of ``gates`` that reads every block of ``amplitudes``.
 
+    The gates pass :meth:`Circuit.extend` at the width of ``amplitudes``
+    first, as every gate that reaches the kernel through ``dense.run`` has.
     Returns the dense kernel's new output array and per-block occupancy
     flags; the input is left as it was.
     """
     from qrbs import dense
 
-    masks = dense._run_masks(gates, amplitudes.size.bit_length() - 1)
+    circuit = Circuit(amplitudes.size.bit_length() - 1).extend(gates)
+    masks = tuple(map(dense._gate_masks, circuit.gates))
     return dense._apply_segment(amplitudes, masks, every_block(amplitudes))
 
 

@@ -19,25 +19,41 @@ def or_block(a: int, b: int, target: int) -> list:
 
 
 class TestGateValidation:
+    """A gate is a plain record; ``append`` and ``extend`` refuse a repeated or negative qubit."""
+
+    @staticmethod
+    def assert_refused(gate, match: str) -> None:
+        circuit = Circuit(3, 1)
+        with pytest.raises(CircuitError, match=match):
+            circuit.append(gate)
+        with pytest.raises(CircuitError, match=match):
+            Circuit(3, 1).extend([X(0), gate])
+        assert circuit.gates == ()
+
     def test_cnot_control_equals_target(self):
-        with pytest.raises(CircuitError, match="control equals target"):
-            CNOT(2, 2)
+        assert CNOT(2, 2).control == 2  # building a gate checks nothing
+        self.assert_refused(CNOT(2, 2), "control equals target")
 
     def test_ccnot_duplicate_lines(self):
-        with pytest.raises(CircuitError, match="pairwise distinct"):
-            CCNOT(0, 0, 1)
-        with pytest.raises(CircuitError, match="pairwise distinct"):
-            CCNOT(0, 1, 1)
+        for gate in (CCNOT(0, 0, 1), CCNOT(0, 1, 1), CCNOT(1, 0, 1)):
+            self.assert_refused(gate, "pairwise distinct")
 
     def test_negative_index(self):
-        with pytest.raises(CircuitError):
-            X(-1)
+        for gate in (X(-1), CNOT(0, -1), CCNOT(-2, 0, 1), Measure(-1, 0), Measure(0, -1)):
+            self.assert_refused(gate, "out of range")
 
 
 class TestCircuitAppend:
     def test_append_preserves_order(self):
         circuit = Circuit(3).append(CCNOT(0, 1, 2)).append(X(0))
         assert circuit.gates == (CCNOT(0, 1, 2), X(0))
+
+    @pytest.mark.parametrize(
+        "sizes", [(2.5,), (True,), ("3",), (None,), (3, 1.0), (3, False), (3, "1")]
+    )
+    def test_a_non_integer_register_size_is_refused(self, sizes):
+        with pytest.raises(CircuitError, match="register size .* is not an integer"):
+            Circuit(*sizes)
 
     def test_out_of_range(self):
         with pytest.raises(CircuitError, match="out of range"):

@@ -99,40 +99,10 @@ class TestOneGateGather:
         amplitudes, _ = gather_every_block(init_state(3, 0b011).amplitudes, [CCNOT(0, 1, 2)])
         assert amplitudes[0b111] == 1
 
-    def test_measure_rejected(self):
-        with pytest.raises(SimulationError, match="not a unitary"):
-            gather_every_block(init_state(1).amplitudes, [Measure(0, 0)])
-
-    def test_non_gate_rejected(self):
-        with pytest.raises(SimulationError, match="not a unitary"):
-            gather_every_block(init_state(1).amplitudes, [{}])
-
-    def test_out_of_range_gate(self):
-        with pytest.raises(SimulationError, match="out of range"):
-            gather_every_block(init_state(2).amplitudes, [X(5)])
-
-    @pytest.mark.parametrize("gate", [X(1.0), X(True), CNOT(0, 1.5), CNOT(False, 1), CCNOT(0, 1.0, 2)])
-    def test_non_integer_index_rejected(self, gate):
-        with pytest.raises(SimulationError, match="non-integer"):
-            gather_every_block(init_state(3).amplitudes, [gate])
-
     def test_input_state_is_untouched(self):
         state = init_state(1)
         gather_every_block(state.amplitudes, [X(0)])
         assert state.amplitudes[0] == 1
-
-    @pytest.mark.parametrize(
-        "gate", [X(True), X(1.0), X(3), {}], ids=["bool", "float", "beyond", "non-gate"]
-    )
-    def test_a_cached_plan_refuses_what_the_kernel_refuses(self, gate):
-        # X(True) and X(1.0) equal X(1) as dataclasses, so a plan cache keyed
-        # on gates would hand them X(1)'s plan
-        dense_module._cached_plan.cache_clear()
-        amplitudes, _ = gather_every_block(init_state(3).amplitudes, [X(1)])
-        assert np.flatnonzero(amplitudes).tolist() == [2]
-        assert dense_module._cached_plan.cache_info().currsize == 1
-        with pytest.raises(SimulationError):
-            gather_every_block(init_state(3).amplitudes, [gate])
 
 
 class TestBasisIndex:
@@ -551,10 +521,14 @@ class TestMeasuredRuns:
         assert calls == {"_apply_segment": 1, "_occupied_index": 0}
 
 
+def gate_masks(gates) -> tuple:
+    """Each gate's ``(control_mask, target_mask)``, as ``dense.run`` computes them."""
+    return tuple(map(dense_module._gate_masks, gates))
+
+
 def static_runs(gates: list) -> list:
     """``dense._static_runs`` on the masks of ``gates``, each run as its list of gates."""
-    masks = tuple(map(dense_module._gate_masks, gates))
-    return [gates[cut] for cut in dense_module._static_runs(masks)]
+    return [gates[cut] for cut in dense_module._static_runs(gate_masks(gates))]
 
 
 def dependency_ordered_gates(rng: random.Random, num_qubits: int, num_gates: int) -> list:
@@ -606,7 +580,7 @@ def gather_runs(values: np.ndarray, gates, sources) -> tuple:
     when there is no gate).
     """
     occupied = None
-    masks = dense_module._run_masks(gates, values.size.bit_length() - 1)
+    masks = gate_masks(gates)
     for cut in dense_module._static_runs(masks):
         values, occupied = _apply_segment(values, masks[cut], sources)
         sources = np.flatnonzero(occupied)
@@ -620,7 +594,7 @@ def reach_groups(plan) -> np.ndarray:
 
 def planned(gates, num_qubits: int):
     """The plan of a static run of ``gates``, built afresh rather than read from the cache."""
-    return dense_module._plan(dense_module._run_masks(gates, num_qubits), num_qubits)
+    return dense_module._plan(gate_masks(gates), num_qubits)
 
 
 def assert_gathers_like_the_oracle(num_qubits: int, gates) -> None:
@@ -902,7 +876,7 @@ class TestReach:
         values = np.zeros(1 << num_qubits, np.complex64)
         with pytest.MonkeyPatch.context() as patch:
             indices = counted_takes(patch)
-            _apply_segment(values, dense_module._run_masks(gates, num_qubits), sorted(sources))
+            _apply_segment(values, gate_masks(gates), sorted(sources))
         gathered = [int(permutation[row[0]]) // block for index in indices for row in index]
         assert all(index.shape[1] == block for index in indices)
         assert len(gathered) == len(set(gathered))  # no block is gathered twice
@@ -932,7 +906,7 @@ class TestPlanCache:
 
     def test_cached_arrays_are_read_only(self):
         gates = dependency_ordered_gates(random.Random(23), 19, 30)
-        masks = dense_module._run_masks(gates, 19)
+        masks = gate_masks(gates)
         plan = dense_module._cached_plan(masks, 19)
         assert plan.tables and np.unique(plan.source_selection).size > 1
         arrays = [plan.base, *(table for _, table in plan.tables)]
