@@ -9,8 +9,10 @@ knowledge, leaving the reduced logic base. Diagnosis is a lookup: the
 compatible diagnosis complexes for an observed symptom complex, summed
 up per disease as present / absent / uncertain.
 
-Constraint files reuse the rule DSL plus the ``=>`` operator and
-``symptoms:`` / ``diagnoses:`` declarations::
+Constraint files reuse the rule DSL, and its line reader, plus the
+``=>`` operator and ``symptoms:`` / ``diagnoses:`` declarations: a line
+starts with ``rule`` or one of those two keywords, and each declaration
+appears at most once::
 
     symptoms: s1, s2
     diagnoses: d1, d2
@@ -45,18 +47,8 @@ from operator import and_, eq, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import planes
-from .errors import DslSyntaxError, NetworkError
-from .rules import (
-    Atom,
-    BoolExpr,
-    Implies,
-    Or,
-    _ExprParser,
-    _lines,
-    _parse_name_list,
-    _parse_rule_head,
-    atom_names,
-)
+from .errors import NetworkError
+from .rules import Atom, BoolExpr, Implies, Or, _statements, atom_names
 
 __all__ = [
     "MAX_TOTAL_ATTRIBUTES",
@@ -313,46 +305,20 @@ def _resolve_names(
 
 def parse_constraints(text: str) -> ConstraintSet:
     """Parse a constraint file (rule DSL plus ``=>`` and declarations)."""
-    symptoms: tuple[str, ...] | None = None
-    diagnoses: tuple[str, ...] | None = None
+    declared: dict[str, tuple[str, ...]] = {}
     entries: list[tuple[str | None, BoolExpr | None]] = []
-    for lineno, tokens in _lines(text):
-        head = tokens[0]
-        if head.kind != "ident":
-            raise DslSyntaxError(
-                "expected 'rule', 'symptoms' or 'diagnoses'", lineno, head.column
-            )
-        parser = _ExprParser(tokens, lineno, allow_implies=True)
-        if head.text == "rule":
-            name = _parse_rule_head(parser)
+    statements = _statements(text, ("symptoms", "diagnoses"), "declaration", True)
+    for lineno, keyword, value, parser in statements:
+        if keyword == "rule":
             expr = parser.expr()
             if not parser.at_end():
                 parser.fail("unexpected trailing input")
-            if expr == Atom(ANY_SYMPTOM_SHORTHAND):
-                entries.append((name, None))
-            else:
-                entries.append((name, expr))
-        elif head.text in ("symptoms", "diagnoses"):
-            if (head.text == "symptoms" and symptoms is not None) or (
-                head.text == "diagnoses" and diagnoses is not None
-            ):
-                raise DslSyntaxError(f"duplicate {head.text} declaration", lineno, head.column)
-            parser.advance()
-            parser.expect(":")
-            names = tuple(_parse_name_list(parser))
-            if len(set(names)) != len(names):
-                raise NetworkError(f"duplicate name in {head.text} declaration (line {lineno})")
-            if head.text == "symptoms":
-                symptoms = names
-            else:
-                diagnoses = names
+            entries.append((value, None if expr == Atom(ANY_SYMPTOM_SHORTHAND) else expr))
         else:
-            raise DslSyntaxError(
-                f"expected 'rule', 'symptoms' or 'diagnoses', got {head.text!r}",
-                lineno,
-                head.column,
-            )
-    return ConstraintSet(symptoms, diagnoses, tuple(entries))
+            if len(set(value)) != len(value):
+                raise NetworkError(f"duplicate name in {keyword} declaration (line {lineno})")
+            declared[keyword] = tuple(value)
+    return ConstraintSet(declared.get("symptoms"), declared.get("diagnoses"), tuple(entries))
 
 
 def reduce_to_rlb(

@@ -14,6 +14,7 @@ significant); classical bits follow the same convention.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -74,10 +75,22 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
     raise TypeError(f"not a gate: {gate!r}")
 
 
-def _check_index(index: object, what: str) -> None:
-    """Refuse a ``what`` that is not an integer: a ``bool``, or a value with no ``__index__``."""
+def _check_index(index: object, what: str) -> int:
+    """``index`` as a plain ``int``; refuse a ``bool``, or a value with no ``__index__``."""
     if isinstance(index, bool) or not hasattr(type(index), "__index__"):
         raise CircuitError(f"{what} {index!r} is not an integer")
+    return operator.index(index)
+
+
+def _int_indices(gate: Gate) -> Gate:
+    """``gate`` rebuilt with plain ``int`` indices; refuse a ``bool`` or non-integer index.
+
+    The engines shift by the indices as given, and ``1 << np.uint8(9)`` is 0.
+    """
+    if type(gate) is Measure:
+        qubit = _check_index(gate.qubit, "qubit index")
+        return Measure(qubit, _check_index(gate.clbit, "classical bit index"))
+    return type(gate)(*(_check_index(qubit, "qubit index") for qubit in gate_qubits(gate)))
 
 
 class Circuit:
@@ -85,7 +98,8 @@ class Circuit:
 
     :meth:`append` is the one check on a gate; the gates themselves are
     plain records. It admits only gates whose indices are integers
-    (``bool`` excluded) in range, which also refuses a negative index, and
+    (``bool`` excluded; a numpy integer is stored as the plain ``int`` it
+    stands for) in range, which also refuses a negative index, and
     whose qubits are distinct: a CNOT's control differs from its target
     and a CCNOT's three qubits from one another. It admits no unitary gate
     on a qubit after it was measured, and each classical bit is written by
@@ -102,8 +116,8 @@ class Circuit:
         qubit_labels: Mapping[int, str] | None = None,
         clbit_labels: Mapping[int, str] | None = None,
     ):
-        _check_index(num_qubits, "qubit register size")
-        _check_index(num_clbits, "classical register size")
+        num_qubits = _check_index(num_qubits, "qubit register size")
+        num_clbits = _check_index(num_clbits, "classical register size")
         if num_qubits < 0 or num_clbits < 0:
             raise CircuitError("register sizes must be non-negative")
         self._num_qubits = num_qubits
@@ -130,7 +144,7 @@ class Circuit:
         qubits = gate_qubits(gate)
         for qubit in qubits:
             if type(qubit) is not int:
-                _check_index(qubit, "qubit index")
+                return self.append(_int_indices(gate))
             if not 0 <= qubit < self._num_qubits:
                 raise CircuitError(
                     f"qubit {qubit} out of range for a {self.num_qubits}-qubit circuit"
@@ -138,7 +152,7 @@ class Circuit:
         kind = type(gate)
         if kind is Measure:
             if type(gate.clbit) is not int:
-                _check_index(gate.clbit, "classical bit index")
+                return self.append(_int_indices(gate))
             if not 0 <= gate.clbit < self._num_clbits:
                 raise CircuitError(
                     f"classical bit {gate.clbit} out of range "

@@ -17,6 +17,11 @@ mention. Without an ``outputs:`` clause the outputs default to every
 consequent that no other rule consumes. ``=>`` (implication) is reserved
 for constraint files (see :mod:`qrbs.categorical`) and rejected here.
 
+Rule files and constraint files share one line grammar, read by one
+line reader: a line starts with ``rule`` or with a declaration keyword
+of its file kind (``outputs`` here), and each declaration appears at
+most once per file.
+
 A chain of one operator is one flat :class:`And` or :class:`Or` node,
 however it was parenthesised, so chains of any width parse. Nesting is
 bounded by :data:`MAX_DEPTH` (100 levels; each ``!``, ``(`` and ``=>``
@@ -352,24 +357,13 @@ class _ExprParser:
     expressions parsed so far.
     """
 
-    def __init__(self, tokens: list[_Token], lineno: int, allow_implies: bool = False):
+    def __init__(self, tokens: list[_Token], lineno: int, allow_implies: bool):
         self.tokens = [*tokens, _END]
         self.pos = 0
         self.lineno = lineno
         self.allow_implies = allow_implies
         self.depth = 0
         self.atoms: dict[str, None] = {}  # an insertion-ordered set
-
-    def peek(self) -> _Token:
-        """The next token, or :data:`_END` at the end of the line."""
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token is _END:
-            raise DslSyntaxError("unexpected end of line", self.lineno)
-        self.pos += 1
-        return token
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
         """Consume a token of ``kind``; an error names it as ``what`` if given."""
@@ -454,29 +448,47 @@ class _ExprParser:
         raise AssertionError("unreachable")
 
 
-def _lines(text: str) -> Iterator[tuple[int, list[_Token]]]:
+def _statements(
+    text: str, declarations: tuple[str, ...], noun: str, allow_implies: bool
+) -> Iterator[tuple[int, str, str | list[str] | None, _ExprParser]]:
+    """The lines of a rule file or a constraint file, one statement each.
+
+    A line starts with ``rule`` or with one of ``declarations``, and each
+    declaration appears at most once (a repeat is a "duplicate <keyword>
+    <noun>"). Yields ``(lineno, keyword, value, parser)``: for
+    ``rule [name]:`` the value is the name or ``None`` and ``parser``
+    stands at the rule body, which the caller reads; for ``keyword: a, b``
+    the value is the list of names and the line is read.
+    """
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw.split("#", 1)[0], lineno)  # '#' starts a comment
-        if tokens:
-            yield lineno, tokens
-
-
-def _parse_name_list(parser: _ExprParser) -> list[str]:
-    names = [parser.expect("ident", "a fact name").text]
-    while not parser.at_end():
-        parser.expect(",")
-        names.append(parser.expect("ident", "a fact name").text)
-    return names
-
-
-def _parse_rule_head(parser: _ExprParser) -> str | None:
-    """Consume ``rule [name] :`` and return the optional name."""
-    parser.expect("ident")  # the 'rule' keyword, already checked by the caller
-    name = None
-    if parser.peek().kind == "ident":
-        name = parser.advance().text
-    parser.expect(":")
-    return name
+        if not tokens:
+            continue
+        head = tokens[0]
+        keyword = head.text
+        parser = _ExprParser(tokens, lineno, allow_implies)
+        parser.pos = 1  # past the keyword
+        if keyword == "rule":
+            name = parser.expect("ident").text if parser.tokens[1].kind == "ident" else None
+            parser.expect(":")
+            yield lineno, keyword, name, parser
+        elif keyword in declarations:
+            if keyword in seen:
+                raise DslSyntaxError(f"duplicate {keyword} {noun}", lineno, head.column)
+            seen.add(keyword)
+            parser.expect(":")
+            names = [parser.expect("ident", "a fact name").text]
+            while not parser.at_end():
+                parser.expect(",")
+                names.append(parser.expect("ident", "a fact name").text)
+            yield lineno, keyword, names, parser
+        else:
+            words = [repr(word) for word in ("rule", *declarations)]
+            message = f"expected {', '.join(words[:-1])} or {words[-1]}"
+            if head.kind == "ident":
+                message += f", got {keyword!r}"
+            raise DslSyntaxError(message, lineno, head.column)
 
 
 def parse_rules(text: str) -> RuleNetwork:
@@ -487,35 +499,22 @@ def parse_rules(text: str) -> RuleNetwork:
     used: set[str] = set()  # every atom of every antecedent
     outputs: list[str] | None = None
 
-    for lineno, tokens in _lines(text):
-        head = tokens[0]
-        if head.kind != "ident":
-            raise DslSyntaxError("expected 'rule' or 'outputs'", lineno, head.column)
-        parser = _ExprParser(tokens, lineno, allow_implies=False)
-        if head.text == "rule":
-            name = _parse_rule_head(parser)
-            antecedent = parser.expr()
-            parser.expect("->")
-            consequent = parser.expect("ident", "a fact name").text
-            if not parser.at_end():
-                parser.fail("unexpected trailing input")
-            if consequent in consequents:
-                raise NetworkError(f"duplicate consequent {consequent!r} (line {lineno})")
-            consequents.add(consequent)
-            mentioned.update(parser.atoms)
-            mentioned[consequent] = None
-            used.update(parser.atoms)
-            rules.append(Rule(antecedent, consequent, name))
-        elif head.text == "outputs":
-            if outputs is not None:
-                raise DslSyntaxError("duplicate outputs clause", lineno, head.column)
-            parser.advance()
-            parser.expect(":")
-            outputs = _parse_name_list(parser)
-        else:
-            raise DslSyntaxError(
-                f"expected 'rule' or 'outputs', got {head.text!r}", lineno, head.column
-            )
+    for lineno, keyword, value, parser in _statements(text, ("outputs",), "clause", False):
+        if keyword == "outputs":
+            outputs = value
+            continue
+        antecedent = parser.expr()
+        parser.expect("->")
+        consequent = parser.expect("ident", "a fact name").text
+        if not parser.at_end():
+            parser.fail("unexpected trailing input")
+        if consequent in consequents:
+            raise NetworkError(f"duplicate consequent {consequent!r} (line {lineno})")
+        consequents.add(consequent)
+        mentioned.update(parser.atoms)
+        mentioned[consequent] = None
+        used.update(parser.atoms)
+        rules.append(Rule(antecedent, consequent, value))
 
     if not rules:
         raise NetworkError("empty network: no rules defined")

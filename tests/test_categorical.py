@@ -393,6 +393,16 @@ class TestConstraintParsing:
                 "expected a fact name, got ',' (line 2, column 15)",
             ),
             ("rule C1: s1 => d1 )", "unexpected trailing input, got ')' (line 1, column 19)"),
+            # a line starts with 'rule' or a declaration keyword of this file kind
+            (
+                "symptoms: s1\n  => d1",
+                "expected 'rule', 'symptoms' or 'diagnoses' (line 2, column 3)",
+            ),
+            (
+                "symptoms: s1\noutputs: X",
+                "expected 'rule', 'symptoms' or 'diagnoses', got 'outputs' (line 2, column 1)",
+            ),
+            ("diagnoses: d1\ndiagnoses: d2", "duplicate diagnoses declaration (line 2, column 1)"),
             # each '=>' counts one level
             (
                 "rule C1: " + " => ".join(["a"] * 102),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import as_permutation, random_circuit
 from qrbs.circuit import CCNOT, CNOT, Circuit, Measure, X, export_qasm, gate_counts, import_qasm
 from qrbs.errors import CircuitError, QasmError
+from qrbs.simulator import run
 
 
 def or_block(a: int, b: int, target: int) -> list:
@@ -91,6 +92,20 @@ class TestCircuitAppend:
         text = export_qasm(circuit)
         assert text.endswith("x q[2];\ncx q[2],q[0];\nmeasure q[0] -> c[0];\n")
         assert import_qasm(text) == circuit
+
+    @pytest.mark.parametrize("engine", ["fast", "statevector"])
+    def test_numpy_integer_indices_are_stored_as_ints(self, engine):
+        # 1 << np.uint8(9) is a uint8 0, so an engine shifting by the index as given reads bit 9 as 0
+        circuit = Circuit(12, 12).append(X(np.uint8(9)))
+        circuit.extend(Measure(np.uint8(k), np.int16(k)) for k in range(12))
+        result = run(circuit, engine=engine)
+        assert result.bits == tuple(int(k == 9) for k in range(12))
+        assert all(type(bit) is int for bit in result.bits)
+        for gate in circuit.gates:
+            assert all(type(index) is int for index in vars(gate).values()), gate
+        sized = Circuit(np.uint8(12), np.int64(12)).extend(circuit.gates)
+        assert type(sized.num_qubits) is int and type(sized.num_clbits) is int
+        assert run(sized, engine=engine).bits == result.bits
 
     @pytest.mark.parametrize("junk", ["X(1)", None, (0, 1)])
     def test_a_non_gate_is_refused(self, junk):

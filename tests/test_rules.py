@@ -196,6 +196,15 @@ def test_syntax_error_message_line_and_column(text, message, line, column):
     assert (info.value.line, info.value.column) == (line, column)
 
 
+@pytest.mark.parametrize("keyword", ["symptoms", "diagnoses"])
+def test_constraint_declarations_are_not_rule_file_keywords(keyword):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_rules(f"rule r1: A -> X\n  {keyword}: A\n")
+    message = f"expected 'rule' or 'outputs', got {keyword!r} (line 2, column 3)"
+    assert str(info.value) == message
+    assert (info.value.line, info.value.column) == (2, 3)
+
+
 class TestEvaluateExpr:
     def test_and(self):
         assert evaluate_expr(And(Atom("a"), Atom("b")), {"a": 1, "b": 1}) == 1
