@@ -12,9 +12,10 @@ staging application built on all of it (:mod:`qrbs.idc`).
 
 Only the dense engine (:mod:`qrbs.dense`, loaded on the first dense
 run) uses numpy, which the ``dense`` extra installs; the fast path runs
-without it. :class:`StateVector` and :func:`init_state` are read from
-:mod:`qrbs.dense` when first looked up here, and importing the package
-only registers numpy to load on first use (:func:`_defer_numpy`).
+without it. Its names, :class:`~qrbs.dense.StateVector` and
+:func:`~qrbs.dense.init_state` among them, are imported from
+:mod:`qrbs.dense`. Importing the package only registers numpy to load on
+first use (:func:`_defer_numpy`).
 """
 
 import importlib.util
@@ -99,15 +100,6 @@ from .rules import (
 from .simulator import RunResult, run
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # the dense engine's names load qrbs.dense, and so numpy, on first use
-    if name in ("StateVector", "init_state"):
-        from . import dense
-
-        return getattr(dense, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _defer_numpy() -> None:

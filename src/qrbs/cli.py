@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import idc
 from .categorical import (
@@ -44,9 +45,11 @@ def _bits_argument(text: str) -> str:
     return text
 
 
-def _max_qubits_argument(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+def _count(text: str, minimum: int = 0) -> int:
+    """An integer flag's argparse type: a decimal integer of at least ``minimum``."""
+    if not text.isdecimal() or int(text) < minimum:
+        message = f"expected an integer of at least {minimum}, got {text!r}"
+        raise argparse.ArgumentTypeError(message)
     return int(text)
 
 
@@ -54,7 +57,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=ENGINES, default="fast")
     parser.add_argument(
         "--max-qubits",
-        type=_max_qubits_argument,
+        type=partial(_count, minimum=1),
         default=None,
         help="dense-engine qubit cap override (default: QRBS_MAX_QUBITS or 26)",
     )
@@ -67,7 +70,7 @@ def _add_compile_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="copy pass-through outputs to fresh ancillae before measuring",
     )
-    parser.add_argument("--budget", type=int, default=None, help="ancilla budget")
+    parser.add_argument("--budget", type=_count, default=None, help="ancilla budget")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-compile", help="check a compiled rule file against evaluation")
     p.add_argument("--rules", required=True, help="rule DSL file")
-    p.add_argument("--max-inputs", type=int, default=24, help="exhaustive-check input cap")
+    p.add_argument("--max-inputs", type=_count, default=24, help="exhaustive-check input cap")
     _add_compile_flags(p)
     p.set_defaults(func=_cmd_verify_compile)
 

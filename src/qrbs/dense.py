@@ -32,7 +32,8 @@ The indices are ``np.intp``, which ``np.take`` uses without converting.
 Every index is an XOR of offsets, block start and gate masks, so it is in
 range because every gate's qubits are: :meth:`Circuit.append` admitted
 each gate of the circuit with integer qubits in range, and :func:`run`,
-the only way in, computes every gate's masks once per call without
+the only way in, computes every gate's masks once per call from
+:func:`~qrbs.circuit.gate_qubits`, the qubits the check read, without
 checking them again. The take therefore runs in ``mode="wrap"``, which
 writes straight into its ``out`` array (the default ``mode="raise"``
 gathers into a buffer and copies it).
@@ -90,7 +91,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import CCNOT, CNOT, Circuit, Gate, Measure, X
+from .circuit import Circuit, Gate, Measure, gate_qubits
 from .errors import SimulationError
 
 __all__ = ["DEFAULT_MAX_QUBITS", "StateVector", "init_state", "run"]
@@ -114,25 +115,22 @@ _TAKE_ROWS = 1 << 16 - _BLOCK_BITS
 # most this many are kept, the least recently used going first.
 _PLANS_KEPT = 8
 
+# How far a located basis state's magnitude may be from 1, and any other
+# amplitude's from 0.
+_TOL = 1e-9
+
 
 def _gate_masks(gate: Gate) -> tuple[int, int]:
-    """A unitary gate's ``(control_mask, target_mask)``, the key its run is planned by."""
-    match gate:
-        case X(target):
-            return 0, 1 << target
-        case CNOT(control, target):
-            return 1 << control, 1 << target
-        case CCNOT(control1, control2, target):
-            return 1 << control1 | 1 << control2, 1 << target
+    """A unitary gate's ``(control_mask, target_mask)``, the key its run is planned by.
 
-
-def _subcube(mask: int, value: int, block_bits: int) -> tuple:
-    """Index ``offsets.reshape((2,) * block_bits)`` where every bit in ``mask`` is ``value``.
-
-    The index is basic (an integer or a full slice per axis), so it selects
-    a view, which ``^=`` updates in place.
+    Read from :func:`gate_qubits`, whose last qubit is the target and the
+    others the controls.
     """
-    return tuple(value if mask >> bit & 1 else slice(None) for bit in reversed(range(block_bits)))
+    *controls, target = gate_qubits(gate)
+    control_mask = 0
+    for control in controls:
+        control_mask |= 1 << control
+    return control_mask, 1 << target
 
 
 def _static_runs(masks: Sequence[tuple[int, int]]) -> list[slice]:
@@ -178,12 +176,13 @@ def _plan(masks: Sequence[tuple[int, int]], num_qubits: int) -> _Plan:
     index, as ``(low controls set) << target`` within a block times
     ``start & high == high`` for the block. Gates with the same
     high-control mask share one table, the XOR of their low-bit flips;
-    each flip is XORed in place into the sub-cube of offsets whose low
-    controls are set. The blocks whose starts select the same tables form
-    a group. Every high control is below ``num_qubits``, so each submask
-    of the selector is some block start's selection: the groups are those
-    submasks (:func:`_submasks`). Each group's reach is read from its
-    tables at the probe offsets: those whose bits are all among the low
+    each flip is XORed into the entries that a boolean mask picks, the
+    offsets whose low controls are all set. The blocks whose starts select
+    the same tables form a group. Every high control is below
+    ``num_qubits``, so each submask of the selector is some block start's
+    selection: the groups are those submasks (:func:`_submasks`). Each
+    group's reach is read from its tables at the probe offsets, which a
+    second boolean mask picks: those whose bits are all among the low
     controls of the gates with a target above the block bits. Every
     table's bits above the block bits depend on those controls alone, so
     the entries at the probe take every value above the block bits that
@@ -194,7 +193,6 @@ def _plan(masks: Sequence[tuple[int, int]], num_qubits: int) -> _Plan:
     of ``h``'s block start.
     """
     block_bits = min(_BLOCK_BITS, num_qubits)
-    cube = (2,) * block_bits  # one axis per bit of a block offset, highest bit first
     offsets = np.arange(1 << block_bits, dtype=np.intp)
     low = (1 << block_bits) - 1
     tables: dict[int, np.ndarray] = {0: offsets.copy()}
@@ -207,9 +205,9 @@ def _plan(masks: Sequence[tuple[int, int]], num_qubits: int) -> _Plan:
         table = tables.get(high)
         if table is None:
             table = tables[high] = np.zeros_like(offsets)
-        table.reshape(cube)[_subcube(low_controls, 1, block_bits)] ^= target_mask
+        table[offsets & low_controls == low_controls] ^= target_mask
     base = _read_only(tables.pop(0))
-    probe = offsets.reshape(cube)[_subcube(low & ~varied, 0, block_bits)].ravel()
+    probe = offsets[offsets & ~varied == 0]
     selector = 0
     for high, table in tables.items():
         selector |= high
@@ -271,7 +269,8 @@ def _apply_segment(
     Only the output blocks whose pulled-back indices can fall in a source
     block are gathered, sorted by group and :data:`_TAKE_ROWS` at a time,
     each block a row of one index array; every other block pulls back only
-    zeros and stays as ``np.zeros`` left it.
+    zeros and stays as ``np.zeros`` left it. Of a chunk's gathered rows,
+    the occupied ones are copied into the output in one step.
     """
     num_qubits = amps.size.bit_length() - 1
     base, tables, selector, reach, source_selection = _cached_plan(masks, num_qubits)
@@ -310,10 +309,7 @@ def _apply_segment(
         np.take(amps, index[: members.size], out=taken, mode="wrap")
         flags = taken.view(np.uint8).max(axis=1) > 0  # a nonzero byte in the row
         occupied[members] = flags
-        if flags.all():  # a full chunk is copied without a temporary
-            rows[members] = taken
-        else:  # only occupied blocks back output pages
-            rows[members[flags]] = taken[flags]
+        rows[members[flags]] = taken[flags]  # only occupied blocks back output pages
     return out, occupied
 
 
@@ -324,16 +320,17 @@ class StateVector:
     num_qubits: int
     amplitudes: np.ndarray
 
-    def basis_index(self, tol: float = 1e-9) -> int:
+    def basis_index(self) -> int:
         """The index of the single occupied basis state.
 
         Raises :class:`SimulationError` if the amplitude weight is spread
-        over more than one basis state (within ``tol``). A complex64 state
-        is scanned as one ``uint64`` word per amplitude; a ``-0.0`` part
-        makes a word nonzero, so the candidates are filtered by magnitude.
+        over more than one basis state (within :data:`_TOL`). A complex64
+        state is scanned as one ``uint64`` word per amplitude; a ``-0.0``
+        part makes a word nonzero, so the candidates are filtered by
+        magnitude.
         """
         amps = self.amplitudes
-        return _locate(amps, np.flatnonzero(_words(amps)), tol)
+        return _locate(amps, np.flatnonzero(_words(amps)))
 
 
 def _words(amps: np.ndarray) -> np.ndarray:
@@ -341,19 +338,19 @@ def _words(amps: np.ndarray) -> np.ndarray:
     return amps.view(np.uint64) if amps.dtype == np.complex64 else amps
 
 
-def _locate(amps: np.ndarray, nonzero: np.ndarray, tol: float) -> int:
+def _locate(amps: np.ndarray, nonzero: np.ndarray) -> int:
     """The basis index, given every nonzero word's index in ascending order."""
     magnitudes = np.abs(amps[nonzero])
     if not magnitudes.any():
         raise SimulationError("zero state has no basis index")
     top = int(np.argmax(magnitudes))
     rest = np.delete(magnitudes, top)
-    if abs(magnitudes[top] - 1.0) > tol or (rest.size and float(rest.max()) > tol):
+    if abs(magnitudes[top] - 1.0) > _TOL or (rest.size and float(rest.max()) > _TOL):
         raise SimulationError("state is not a computational basis state")
     return int(nonzero[top])
 
 
-def _occupied_index(amps: np.ndarray, occupied: np.ndarray, tol: float = 1e-9) -> int:
+def _occupied_index(amps: np.ndarray, occupied: np.ndarray) -> int:
     """:meth:`StateVector.basis_index`, scanning only the blocks flagged in ``occupied``.
 
     ``occupied`` is :func:`_apply_segment`'s per-block record. An unflagged
@@ -363,7 +360,7 @@ def _occupied_index(amps: np.ndarray, occupied: np.ndarray, tol: float = 1e-9) -
     rows = np.flatnonzero(occupied)
     words = _words(amps).reshape(occupied.size, -1)
     row, column = np.nonzero(words[rows])
-    return _locate(amps, rows[row] * words.shape[1] + column, tol)
+    return _locate(amps, rows[row] * words.shape[1] + column)
 
 
 def init_state(num_qubits: int, basis: int = 0, max_qubits: int | None = None) -> StateVector:

@@ -350,6 +350,16 @@ class TestVerify:
         assert payload["ok"] is True
         assert payload["assignments_checked"] == 32
 
+    def test_verify_compile_input_cap(self, capsys, tmp_path):
+        rules = tmp_path / "three.rules"
+        rules.write_text("rule: A & B -> X\nrule: X | C -> Y\n")
+        command = ("verify-compile", "--rules", str(rules), "--max-inputs")
+        code, out, err = run_cli(capsys, *command, "2")
+        assert (code, out) == (1, "")
+        assert err == "error: exhaustive verification capped at 2 inputs, got 3\n"
+        code, out, err = run_cli(capsys, *command, "3")
+        assert (code, out, err) == (0, "verified 8 assignments, no mismatches\n", "")
+
     @pytest.mark.parametrize(
         "flag", [["-o", "x.qasm"], ["--output", "x.qasm"], ["--map", "m.json"]]
     )
@@ -396,6 +406,29 @@ class TestGlobalBehaviour:
         )
         assert (code, out) == (2, "")
         assert f"expected an integer of at least 1, got {value!r}" in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("compile", "--budget"),
+            ("verify-compile", "--budget"),
+            ("verify-compile", "--max-inputs"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5", "²"])
+    def test_a_count_below_zero_is_a_usage_error(self, capsys, tmp_path, command, flag, value):
+        rules = tmp_path / "demo.rules"
+        rules.write_text(DEMO_RULES)
+        code, out, err = run_cli(capsys, command, "--rules", str(rules), f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert f"expected an integer of at least 0, got {value!r}" in err
+
+    def test_a_zero_budget_admits_a_network_without_ancillae(self, capsys, tmp_path):
+        rules = tmp_path / "copy.rules"
+        rules.write_text("rule: A -> X\n")
+        code, out, _ = run_cli(capsys, "compile", "--rules", str(rules), "--budget=0", "--json")
+        assert code == 0
+        assert json.loads(out)["ancilla_count"] == 0
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_an_env_cap_below_one_is_named(self, capsys, monkeypatch, value):

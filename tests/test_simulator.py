@@ -145,8 +145,8 @@ class TestBasisIndex:
             StateVector(6, amps).basis_index()
 
     @staticmethod
-    def full_scan(amps: np.ndarray, tol: float = 1e-9) -> int:
-        """An independent copy of the scan over every nonzero word."""
+    def full_scan(amps: np.ndarray, tol: float) -> int:
+        """An independent copy of the scan over every nonzero word, within ``tol``."""
         words = amps.view(np.uint64) if amps.dtype == np.complex64 else amps
         nonzero = np.flatnonzero(words)
         magnitudes = np.abs(amps[nonzero])
@@ -166,9 +166,9 @@ class TestBasisIndex:
             ({0: -1}, 1e-9),
             ({63: 1j}, 1e-9),
             ({12: complex(-0.0, 1.0)}, 1e-9),  # a -0.0 part inside the occupied word
-            ({20: complex(0.6, -0.8)}, 1e-6),
+            ({20: complex(0.6, -0.8)}, 1e-6),  # magnitude 1.0 in both dtypes, so 1e-9 agrees
             ({20: 1.001}, 1e-9),  # one word, magnitude off by more than tol
-            ({20: 0.99}, 0.05),  # ... but within a looser tol
+            ({20: 0.99}, 1e-9),  # ... and one off by 0.01
             ({8: complex(-0.0, 0.0)}, 1e-9),  # the only nonzero word is a signed zero
             ({8: complex(-0.0, -0.0), 9: 1}, 1e-9),
             ({3: 1, 4: 1}, 1e-9),  # two nonzero words
@@ -180,7 +180,7 @@ class TestBasisIndex:
             ({3: 1, 200000: 1}, 1e-9),
             ({(1 << BLOCK_BITS) - 1: 1e-12, 1 << BLOCK_BITS: 1}, 1e-9),  # either side of a boundary
             ({262143: 1.001}, 1e-9),
-            ({2 << BLOCK_BITS: complex(-0.0, -0.0), (3 << BLOCK_BITS) - 1: 0.99}, 0.05),
+            ({2 << BLOCK_BITS: complex(-0.0, -0.0), (3 << BLOCK_BITS) - 1: 0.99}, 1e-9),
             ({(1 << BLOCK_BITS + 1) - 1: 1, 1 << BLOCK_BITS + 1: 1e-12}, 1e-9),
         ],
     )
@@ -192,8 +192,8 @@ class TestBasisIndex:
         assert gathered.tobytes() == amps.tobytes()  # signed zeros too
         assert list(np.flatnonzero(occupied)) == sorted({index >> BLOCK_BITS for index in entries})
         locators = (
-            lambda: StateVector(18, amps).basis_index(tol),
-            lambda: _occupied_index(gathered, occupied, tol),
+            lambda: StateVector(18, amps).basis_index(),
+            lambda: _occupied_index(gathered, occupied),
         )
         try:
             expected = self.full_scan(amps, tol)
@@ -487,7 +487,7 @@ class TestMeasuredRuns:
         assert (False, True) in zip(kinds, kinds[1:])  # a measurement after a run of gates
         fast = run(circuit, (1 << 20) - 1, "fast")
 
-        def refuse(self, tol=1e-9):
+        def refuse(self):
             raise AssertionError("run() scanned the whole state")
 
         monkeypatch.setattr(StateVector, "basis_index", refuse)
