@@ -52,26 +52,39 @@ read through it. A call works from the source side in one vectorised
 step: it pairs every named block ``s`` with every ``h`` whose selection
 the start of ``s`` matches, and marks each output block ``s ^ h`` in the
 per-block flags, so each block is gathered once. An output block that
-can read no named block pulls back only zeros and is never gathered: a
-25-qubit staging run from a basis state gathers 18 of its 65 536
-blocks, 9 216 amplitudes.
+can read no named block pulls back only zeros and is never gathered.
+The gather reads named blocks only: an unnamed block holds only zero
+bytes, so a pulled-back index that falls in one is left zero and never
+read. A 25-qubit staging run from a basis state gathers 18 of its 65 536
+blocks and reads 2^9 amplitudes, all from its basis state's block. When
+every block is named, nothing can be skipped, and the whole chunk is
+taken.
 
 Small blocks cost one Python step each if taken one by one, so the
 kernel takes several at once: the blocks to gather, sorted by group, are
 cut into chunks of up to 2^16 indices, each chunk is pulled back as an
 index array with one row per block (one XOR per group in it), and one
-``np.take`` gathers the whole chunk. A 25-qubit staging run from a basis
-state is one take.
+``np.take`` gathers the chunk, or its indices in named blocks. A 25-qubit
+staging run from a basis state is one take.
 
-The kernel writes only the blocks that hold amplitude. Its output comes
-from ``np.zeros``, which numpy allocates with ``calloc``, so the pages
-of a large state are not backed by memory until they are written. The
-kernel gathers each chunk into a scratch buffer and copies into the
-output only the rows that hold a nonzero byte, all of them in one step;
-the same test flags those blocks as occupied, so :func:`run` finds the
-measured basis state in the occupied blocks alone, with no second pass
-over the state. A run from a basis state occupies one block and writes
-only that one. The gather runs on the calling thread: at 2^12-index
+The kernel writes only the blocks that hold amplitude, and only those
+are backed by memory. Its output, like :func:`init_state`'s state, comes
+from :func:`_zeros`: a state of 512 KiB or more is a fresh anonymous
+mapping, advised against huge pages where the platform has the advice,
+which the operating system zero-fills and backs 4 KiB at a time on first
+touch. ``np.zeros`` does neither for sure: numpy advises huge pages on
+large arrays, so a first write may back 2 MiB, and once glibc's mmap
+threshold has risen, a large ``calloc`` comes from the heap and clears
+every byte (344 us for 2^20 complex64, against 8.2 us for a mapping, on
+a 2-CPU x86-64 host). Smaller states keep ``np.zeros``, which clears
+them for less than a mapping costs, and so does the output of a gather
+that names every block, which the gather fills: there huge pages back it
+in fewer faults. The kernel gathers each chunk into a scratch buffer and
+copies into the output only the rows that hold a nonzero byte, all of
+them in one step; the same test flags those blocks as occupied, so
+:func:`run` finds the measured basis state in the occupied blocks alone,
+with no second pass over the state. A run from a basis state occupies
+one block and writes only that one. The gather runs on the calling thread: at 2^12-index
 blocks a second thread cost more wall and CPU time than it saved. Every
 call returns a new array, so no run writes a state that a caller holds.
 
@@ -83,6 +96,7 @@ exactly, at half the memory traffic of complex128.
 from __future__ import annotations
 
 import functools
+import mmap
 import operator
 import os
 from collections.abc import Sequence
@@ -101,9 +115,9 @@ __all__ = ["DEFAULT_MAX_QUBITS", "StateVector", "init_state", "run"]
 # explicit override.
 DEFAULT_MAX_QUBITS = 26
 
-# Output indices per block of the fused gather: 2^9. Small blocks follow a
-# run's reach closely: a 25-qubit staging run from a basis state gathers 18
-# blocks, 9 216 amplitudes.
+# Output indices per block of the fused gather: 2^9, one 4 KiB page of
+# complex64. Small blocks follow a run's reach closely: a 25-qubit staging
+# run from a basis state gathers 18 blocks and reads the 2^9 amplitudes of one.
 _BLOCK_BITS = 9
 
 # Blocks per np.take: 2^16 indices, 512 KiB as 64-bit np.intp, so a fully
@@ -114,6 +128,15 @@ _TAKE_ROWS = 1 << 16 - _BLOCK_BITS
 # index maps only (a 25-qubit staging run's plan is about 0.21 MiB), and at
 # most this many are kept, the least recently used going first.
 _PLANS_KEPT = 8
+
+# States of this many bytes and more get a mapping of their own (_zeros). A
+# mapping costs about 20 us to map, back its first pages and unmap, whatever
+# its size, where np.zeros from the heap clears the whole state. The line is
+# measured, not glibc's 128 KiB threshold: a random 20-gate circuit took
+# 0.33-0.36 ms a dense.run at 15 qubits (256 KiB) with np.zeros states and
+# 0.50-0.60 ms with mappings, but at 16 qubits 0.65 ms with np.zeros and
+# 0.31-0.33 ms with mappings (2-CPU x86-64 host).
+_MAPPED_BYTES = 512 << 10
 
 # How far a located basis state's magnitude may be from 1, and any other
 # amplitude's from 0.
@@ -259,30 +282,43 @@ def _apply_segment(
     ``masks`` are the :func:`_gate_masks` of the run's gates, which
     :class:`Circuit` admitted at the width of ``amps``: only then is every
     index below ``amps.size``, which the unbuffered ``mode="wrap"`` take
-    relies on. ``sources`` numbers the input blocks of
+    relies on. ``sources`` lists distinct input blocks of
     ``2^min(_BLOCK_BITS, n)`` amplitudes that may hold a nonzero byte;
     every other block must hold only zero bytes. Returns a new output
     array and one flag per output block, set when the block holds a
-    nonzero byte, for the next run's ``sources`` and
-    :func:`_occupied_index`. X, CNOT and CCNOT are each their own inverse,
-    so output amplitude ``i`` is input amplitude ``g1(g2(...gk(i)))``.
-    Only the output blocks whose pulled-back indices can fall in a source
-    block are gathered, sorted by group and :data:`_TAKE_ROWS` at a time,
-    each block a row of one index array; every other block pulls back only
-    zeros and stays as ``np.zeros`` left it. Of a chunk's gathered rows,
-    the occupied ones are copied into the output in one step.
+    nonzero byte, for the next run's ``sources``. X, CNOT and CCNOT are
+    each their own inverse, so output amplitude ``i`` is input amplitude
+    ``g1(g2(...gk(i)))``. Only the output blocks whose pulled-back indices
+    can fall in a source block are gathered, sorted by group and
+    :data:`_TAKE_ROWS` at a time, each block a row of one index array;
+    every other block pulls back only zeros and stays unwritten. Unless
+    every block is a source, a pulled-back index whose block is not one is
+    left zero, unread, and only the others are taken. Of a chunk's
+    gathered rows, the occupied ones are copied into the output in one
+    step.
     """
     num_qubits = amps.size.bit_length() - 1
     base, tables, selector, reach, source_selection = _cached_plan(masks, num_qubits)
     block = base.size
+    block_bits = block.bit_length() - 1
     blocks = amps.size // block
-    out = np.zeros(amps.shape, amps.dtype)  # not zeros_like, which writes every page
+    named = np.asarray(sources, np.intp)
+    # an index is read only if its block is named; with every block named,
+    # none can be skipped: each chunk is taken whole, into an output that
+    # the gather fills, and which np.zeros backs with huge pages where numpy
+    # advises them
+    readable = None
+    if named.size < blocks:
+        readable = np.zeros(blocks, dtype=bool)
+        readable[named] = True
+        out = _zeros(amps.size, amps.dtype)
+    else:
+        out = np.zeros(amps.size, amps.dtype)
     rows = out.reshape(blocks, block)
     occupied = np.zeros(blocks, dtype=bool)
     # source block s is read by output block s ^ h for each h whose source
     # selection s's start selects; the blocks to gather are marked here, and
     # their gather overwrites each mark
-    named = np.asarray(sources, np.intp)
     reads = (named * block & selector)[:, None] == source_selection
     occupied[(named[:, None] ^ reach)[reads]] = True
     work = np.flatnonzero(occupied)
@@ -305,8 +341,13 @@ def _apply_segment(
                 if group & high == high:
                     source = np.bitwise_xor(source, table, out=combined)
             np.bitwise_xor(source, starts[first:last], out=index[first:last])
-        taken = scratch[: members.size]
-        np.take(amps, index[: members.size], out=taken, mode="wrap")
+        chunk, taken = index[: members.size], scratch[: members.size]
+        if readable is None:
+            np.take(amps, chunk, out=taken, mode="wrap")
+        else:
+            hits = readable[chunk >> block_bits]
+            taken.fill(0)
+            taken[hits] = np.take(amps, chunk[hits], mode="wrap")
         flags = taken.view(np.uint8).max(axis=1) > 0  # a nonzero byte in the row
         occupied[members] = flags
         rows[members[flags]] = taken[flags]  # only occupied blocks back output pages
@@ -350,17 +391,17 @@ def _locate(amps: np.ndarray, nonzero: np.ndarray) -> int:
     return int(nonzero[top])
 
 
-def _occupied_index(amps: np.ndarray, occupied: np.ndarray) -> int:
-    """:meth:`StateVector.basis_index`, scanning only the blocks flagged in ``occupied``.
+def _occupied_index(amps: np.ndarray, blocks: np.ndarray) -> int:
+    """:meth:`StateVector.basis_index`, scanning only the occupied ``blocks``.
 
-    ``occupied`` is :func:`_apply_segment`'s per-block record. An unflagged
-    block holds only zero bytes, hence no nonzero word, so the nonzero
-    words found here, and the verdict on them, are the full scan's.
+    ``blocks`` numbers, in ascending order, the blocks that
+    :func:`_apply_segment` flagged occupied. Every other block holds only
+    zero bytes, hence no nonzero word, so the nonzero words found here, and
+    the verdict on them, are the full scan's.
     """
-    rows = np.flatnonzero(occupied)
-    words = _words(amps).reshape(occupied.size, -1)
-    row, column = np.nonzero(words[rows])
-    return _locate(amps, rows[row] * words.shape[1] + column)
+    words = _words(amps).reshape(-1, min(1 << _BLOCK_BITS, amps.size))
+    row, column = np.nonzero(words[blocks])
+    return _locate(amps, blocks[row] * words.shape[1] + column)
 
 
 def init_state(num_qubits: int, basis: int = 0, max_qubits: int | None = None) -> StateVector:
@@ -383,9 +424,25 @@ def init_state(num_qubits: int, basis: int = 0, max_qubits: int | None = None) -
     if not 0 <= basis < 1 << num_qubits:
         raise ValueError(f"basis index {basis} out of range for {num_qubits} qubits")
     _check_memory(num_qubits, np.complex64)
-    amplitudes = np.zeros(1 << num_qubits, dtype=np.complex64)
+    amplitudes = _zeros(1 << num_qubits, np.complex64)
     amplitudes[basis] = 1.0
     return StateVector(num_qubits, amplitudes)
+
+
+def _zeros(size: int, dtype: np.dtype | type) -> np.ndarray:
+    """``size`` zeros of ``dtype``, backed by memory a page at a time as they are written.
+
+    An array of :data:`_MAPPED_BYTES` or more is a fresh anonymous mapping,
+    advised against huge pages where the platform has the advice; a smaller
+    one comes from ``np.zeros``.
+    """
+    nbytes = size * np.dtype(dtype).itemsize
+    if nbytes < _MAPPED_BYTES:
+        return np.zeros(size, dtype)
+    mapping = mmap.mmap(-1, nbytes)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        mapping.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(mapping, dtype)
 
 
 def _check_memory(num_qubits: int, dtype: np.dtype | type) -> None:
@@ -420,13 +477,13 @@ def run(
     amplitudes = init_state(circuit.num_qubits, initial, max_qubits).amplitudes
     measures = [gate for gate in circuit.gates if type(gate) is Measure]
     masks = tuple(_gate_masks(gate) for gate in circuit.gates if type(gate) is not Measure)
-    sources, occupied = [initial >> _BLOCK_BITS], None
+    sources = [initial >> _BLOCK_BITS]
     for cut in _static_runs(masks):
         amplitudes, occupied = _apply_segment(amplitudes, masks[cut], sources)
         sources = np.flatnonzero(occupied)
     located = initial
-    if measures and occupied is not None:
-        located = _occupied_index(amplitudes, occupied)
+    if measures and masks:
+        located = _occupied_index(amplitudes, sources)
     bits = [0] * circuit.num_clbits
     for gate in measures:
         bits[gate.clbit] = located >> gate.qubit & 1

@@ -91,13 +91,20 @@ def test_deep_implication_chain_is_a_syntax_error(capsys, tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_dense_run_beyond_physical_memory_fails_before_allocating(
-    capsys, tmp_path, monkeypatch
-):
+def refuse_allocations(monkeypatch) -> None:
+    """Fail on any dense state allocated from here on, by either path of ``dense._zeros``."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the memory preflight")
 
     monkeypatch.setattr(dense.np, "zeros", refuse)
+    monkeypatch.setattr(dense.mmap, "mmap", refuse)
+
+
+def test_dense_run_beyond_physical_memory_fails_before_allocating(
+    capsys, tmp_path, monkeypatch
+):
+    refuse_allocations(monkeypatch)
     circuit = tmp_path / "wide.qasm"
     circuit.write_text(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[40];\ncreg c[1];\n'
@@ -120,11 +127,7 @@ def test_memory_preflight_sizes_complex64_states(monkeypatch):
     assert 2 * 8 << n < pages["SC_PHYS_PAGES"] * page < 2 * 16 << n
     circuit = Circuit(n, 1).append(X(n - 1)).append(Measure(n - 1, 0))
     assert simulator.run(circuit, engine="statevector").bits == (1,)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("allocated before the memory preflight")
-
-    monkeypatch.setattr(dense.np, "zeros", refuse)
+    refuse_allocations(monkeypatch)
     with pytest.raises(SimulationError, match="GiB"):
         simulator.run(Circuit(n + 1), engine="statevector")
 

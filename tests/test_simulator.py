@@ -7,7 +7,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-import tracemalloc
 import warnings
 import weakref
 from itertools import groupby
@@ -193,7 +192,7 @@ class TestBasisIndex:
         assert list(np.flatnonzero(occupied)) == sorted({index >> BLOCK_BITS for index in entries})
         locators = (
             lambda: StateVector(18, amps).basis_index(),
-            lambda: _occupied_index(gathered, occupied),
+            lambda: _occupied_index(gathered, np.flatnonzero(occupied)),
         )
         try:
             expected = self.full_scan(amps, tol)
@@ -781,21 +780,23 @@ class TestPlannedPullBack:
         assert aranges and max(aranges) < 1 << 26 - BLOCK_BITS  # never every block start
 
 
-def counted_takes(monkeypatch) -> list:
-    """Record the index array of every ``np.take`` from here on.
+def counted_reads(monkeypatch) -> list:
+    """Record the input indices that each ``np.take`` reads, from here on.
 
-    The kernel takes several blocks at once: each row of an index array is
-    the pulled-back indices of one output block.
+    A take reads every index it is given: the kernel passes it either whole
+    rows of pulled-back indices, one row per output block, when every input
+    block is named, or else only the pulled-back indices whose block is
+    named. Each array recorded is flat.
     """
-    indices = []
+    reads = []
     take = np.take
 
     def counted(array, index, *args, **kwargs):
-        indices.append(index.copy())
+        reads.append(np.ravel(index).copy())
         return take(array, index, *args, **kwargs)
 
     monkeypatch.setattr(np, "take", counted)
-    return indices
+    return reads
 
 
 class TestReach:
@@ -870,17 +871,20 @@ class TestReach:
             for k in range(blocks)
             if any(k ^ h in sources for h in reach[k * block & plan.selector])
         }
-        # the kernel's gathered blocks, found through the oracle: the take of
-        # output block k pulls back indices whose images lie in block k
+        # the kernel's gathered blocks, found through the oracle: input index i
+        # is read for output index permutation[i], in block permutation[i] // block
         permutation = as_permutation(Circuit(num_qubits).extend(gates), max_qubits=20)
         values = np.zeros(1 << num_qubits, np.complex64)
         with pytest.MonkeyPatch.context() as patch:
-            indices = counted_takes(patch)
+            reads = counted_reads(patch)
             _apply_segment(values, gate_masks(gates), sorted(sources))
-        gathered = [int(permutation[row[0]]) // block for index in indices for row in index]
-        assert all(index.shape[1] == block for index in indices)
-        assert len(gathered) == len(set(gathered))  # no block is gathered twice
-        assert set(gathered) == expected
+        read = [index for taken in reads for index in taken.tolist()]
+        gathered = {int(permutation[index]) // block for index in read}
+        # each output index pulls back one input index, and every gathered
+        # block reads at least one: no index read twice, no block gathered twice
+        assert len(read) == len(set(read))
+        assert {index // block for index in read} <= sources  # only named blocks are read
+        assert gathered == expected
 
     def test_each_staging_run_gathers_under_2_14_amplitudes(self):
         unshared = CompileOptions(share_subexpressions=False, ancilla_budget=10)
@@ -889,10 +893,16 @@ class TestReach:
             for qubit in range(len(INPUT_COMPLEXES)):
                 one_hot = [int(k == qubit) for k in range(len(INPUT_COMPLEXES))]
                 with pytest.MonkeyPatch.context() as patch:
-                    indices = counted_takes(patch)
+                    reads = counted_reads(patch)
                     stages, result = run_activation(one_hot, "statevector", compiled)
-                assert all(index.shape[1] == 1 << BLOCK_BITS for index in indices)
-                assert 0 < sum(index.size for index in indices) < 1 << 14
+                read = np.concatenate(reads)
+                # the 2^9 amplitudes of the basis state's block, each read once
+                assert read.size == np.unique(read).size == 1 << BLOCK_BITS
+                assert (read >> BLOCK_BITS == 1 << qubit >> BLOCK_BITS).all()
+                # the output blocks gathered, found by running each read index forward
+                outputs = {run(compiled.circuit, int(index)).final_state for index in read}
+                gathered = {output >> BLOCK_BITS for output in outputs}
+                assert 0 < len(gathered) << BLOCK_BITS < 1 << 14
                 fast_stages, fast = run_activation(one_hot, "fast", compiled)
                 assert stages == fast_stages and result.bits == fast.bits
 
@@ -1103,7 +1113,7 @@ class TestFreshOutput:
             raise errors[0]
         assert [len(held) for held in addresses] == [threads] * rounds
 
-    def test_a_run_of_several_static_runs_holds_at_most_two_states(self):
+    def test_a_run_of_several_static_runs_holds_at_most_two_states(self, monkeypatch):
         # the swap's first two CNOTs each make a run of their own, so three
         # gathers run one after the other; each input is dropped once its
         # output is gathered, the initial state included
@@ -1112,15 +1122,20 @@ class TestFreshOutput:
         circuit = Circuit(20, 1).extend(gates).append(Measure(3, 0))
         initial = 1 << 4 | 1 << 18
         expected = run(circuit, initial, "fast")
-        state = 8 << 20  # one complex64 state of 20 qubits: 8 MiB
-        tracemalloc.start()
-        try:
-            result = run(circuit, initial, "statevector")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # every state comes from dense._zeros; count those alive at each allocation
+        states, alive = [], []
+        zeros = dense_module._zeros
+
+        def counted(*args):
+            state = zeros(*args)
+            states[:] = [held for held in states if held() is not None] + [weakref.ref(state)]
+            alive.append(len(states))
+            return state
+
+        monkeypatch.setattr(dense_module, "_zeros", counted)
+        result = run(circuit, initial, "statevector")
         assert results_agree(expected, result)
-        assert peak < 3 * state
+        assert alive == [1, 2, 2, 2]  # the initial state, then one output per static run
 
     def test_back_to_back_runs_grow_by_less_than_one_state(self):
         code = textwrap.dedent(
@@ -1152,17 +1167,51 @@ class TestFreshOutput:
             print(before, peak_bytes())
             """
         )
-        tests = Path(__file__).resolve().parent
-        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
-        path = os.pathsep.join(filter(None, path))
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
-        assert done.returncode == 0, done.stderr
-        before, after = map(int, done.stdout.split())
+        before, after = map(int, run_script(code).split())
         state = 8 << 22  # one complex64 state of 22 qubits: 32 MiB
         assert after - before < state
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")
+    def test_staging_rows_after_the_first_raise_the_peak_by_under_1_mib(self):
+        # a 25-qubit staging run from a basis state touches one 4 KiB page of
+        # its initial state and one of its output, and no huge page
+        code = textwrap.dedent(
+            """
+            from qrbs.compiler import CompileOptions
+            from qrbs.idc import INPUT_COMPLEXES, build_idc_circuit, run_activation
+            from qrbs.idc import verify_reference_table
+
+            def vm_hwm():
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith("VmHWM:"):
+                            return int(line.split()[1]) << 10
+
+            unshared = CompileOptions(share_subexpressions=False, ancilla_budget=10)
+            compiled = build_idc_circuit(unshared)
+            assert compiled.circuit.num_qubits == 25
+            run_activation([1] + [0] * (len(INPUT_COMPLEXES) - 1), "statevector", compiled)
+            before = vm_hwm()
+            rows = verify_reference_table("statevector", compiled)
+            assert len(rows) == 15 and all(row.ok for row in rows), rows
+            print(before, vm_hwm())
+            """
+        )
+        before, after = map(int, run_script(code).split())
+        assert after - before < 1 << 20
+
+
+def run_script(code: str) -> str:
+    """The stdout of ``code``, run in a fresh Python process that imports ``src`` and ``tests``."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    path = os.pathsep.join(filter(None, path))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
